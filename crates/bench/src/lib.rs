@@ -20,7 +20,7 @@
 use merlin_ace::{AceAnalysis, SessionAce};
 use merlin_core::{MerlinCampaign, MerlinConfig, SessionMethodology};
 use merlin_cpu::{CpuConfig, Structure};
-use merlin_inject::{BatchingPolicy, Session, SessionCache};
+use merlin_inject::{Session, SessionCache};
 use merlin_workloads::Workload;
 use std::sync::{Arc, OnceLock};
 
@@ -38,10 +38,6 @@ pub struct ExperimentScale {
     pub seed: u64,
     /// Restrict the benchmark list (`MERLIN_BENCHMARKS`, comma separated).
     pub benchmark_filter: Option<Vec<String>>,
-    /// Campaign engine (`MERLIN_BATCHING`: `batched` or `per-fault`,
-    /// default batched).  Outcomes are byte-identical either way; the knob
-    /// exists so regressions can be bisected against the per-fault oracle.
-    pub batching: BatchingPolicy,
 }
 
 impl ExperimentScale {
@@ -69,16 +65,11 @@ impl ExperimentScale {
                 .filter(|s| !s.is_empty())
                 .collect()
         });
-        let batching = match std::env::var("MERLIN_BATCHING").ok().as_deref() {
-            Some("per-fault") => BatchingPolicy::PerFault,
-            _ => BatchingPolicy::Batched,
-        };
         ExperimentScale {
             baseline_faults,
             threads,
             seed,
             benchmark_filter,
-            batching,
         }
     }
 
@@ -99,7 +90,6 @@ impl ExperimentScale {
             threads: self.threads,
             max_cycles: 500_000_000,
             seed: self.seed,
-            batching: self.batching,
             ..Default::default()
         }
     }
@@ -167,7 +157,6 @@ pub fn session_for(workload: &Workload, cfg: &CpuConfig, scale: &ExperimentScale
             b.checkpoints(merlin_cfg.checkpoints)
                 .max_cycles(merlin_cfg.max_cycles)
                 .threads(merlin_cfg.threads)
-                .batching(merlin_cfg.batching)
         })
         .unwrap_or_else(|e| panic!("session setup failed for {}: {e}", workload.name))
 }
@@ -246,7 +235,6 @@ mod tests {
             threads: 8,
             seed: 2017,
             benchmark_filter: Some(vec!["sha".into()]),
-            batching: BatchingPolicy::Batched,
         };
         let filtered = s.filter(merlin_workloads::mibench_workloads());
         assert_eq!(filtered.len(), 1);

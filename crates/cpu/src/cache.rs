@@ -354,7 +354,6 @@ impl Cache {
         self.use_counter = src.use_counter;
         ForkBytes {
             copied: 0,
-            eager: src.touched.count() as u64 * self.cfg.line_bytes,
             shared: self.lines.len() as u64 * self.cfg.line_bytes,
         }
     }

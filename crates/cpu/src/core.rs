@@ -1312,11 +1312,11 @@ impl Cpu {
     }
 
     /// Forks this core from a live source core, making `self` bit-identical
-    /// to `src` at O(metadata) cost — the lazy fork-spawn of the batched
-    /// suffix driver.
+    /// to `src` at O(metadata) cost — the fork-spawn of the checkpointed
+    /// campaign engine.
     ///
     /// Every heavy structure shares `src`'s page handles structurally
-    /// instead of copying entries (see [`crate::cow`]); sharing breaks
+    /// instead of copying entries (see the `cow` module); sharing breaks
     /// lazily, per page, on whichever side writes first.  The fork therefore
     /// copies almost nothing up front — only scalars and the small
     /// eagerly-copied structures like the rename table — and is *total*:
@@ -1330,14 +1330,11 @@ impl Cpu {
     /// shared [`StateDiff`]s sound.
     ///
     /// The returned [`ForkStats`] reports, per structure, the bytes
-    /// physically copied, the bytes the pre-CoW fork path would have copied
-    /// (`src`'s touched entries and diverged queues), and the bytes now
-    /// referenced structurally.
+    /// physically copied and the bytes now referenced structurally.
     pub fn fork_from(&mut self, src: &Cpu) -> ForkStats {
         debug_assert!(!self.quarantined && !src.quarantined);
         fn acc(stats: &mut ForkStats, fb: ForkBytes, sel: fn(&mut RestoredBytes) -> &mut u64) {
             *sel(&mut stats.copied) += fb.copied;
-            *sel(&mut stats.eager) += fb.eager;
             *sel(&mut stats.shared) += fb.shared;
         }
         self.cycle = src.cycle;
@@ -1398,7 +1395,7 @@ impl Cpu {
     }
 
     /// Page un-share events accumulated across every CoW-backed structure
-    /// since the last call (see [`crate::cow`]): each count is one page that
+    /// since the last call (see the `cow` module): each count is one page that
     /// was shared — with a fork sibling, a snapshot, or the pristine memory
     /// image — and had to be materialised privately on first write.
     pub fn take_cow_breaks(&mut self) -> u64 {
@@ -1448,47 +1445,6 @@ impl Cpu {
             && self.rob.fully_private()
             && self.output.fully_private()
             && self.dyn_counts.fully_private()
-    }
-
-    /// An order-independent fingerprint of the core's cheap scalar state,
-    /// used as a prefilter when testing two same-cycle forks for the paper's
-    /// fault-equivalence merge: equal states always produce equal
-    /// fingerprints (every input is architectural state, never bookkeeping),
-    /// so a fingerprint mismatch proves the forks differ without touching
-    /// any array.  Colliding fingerprints are confirmed with an exact
-    /// [`Cpu::snapshot`] equality comparison.
-    pub fn merge_fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(self.cycle);
-        mix(self.next_seq);
-        mix(self.fetch_pc as u64);
-        mix(self.fetch_halted as u64);
-        mix(self.fetch_invalid as u64);
-        mix(self.fetch_buffer.len() as u64);
-        mix(self.rob.len() as u64);
-        mix(self.iq_count as u64);
-        mix(self.lq.len() as u64);
-        mix(self.sq.len() as u64);
-        mix(self.pending_store_slot.map_or(u64::MAX, |s| s as u64));
-        mix(self.committed_instructions);
-        mix(self.committed_uops);
-        mix(self.arithmetic_exceptions);
-        mix(self.misaligned_exceptions);
-        mix(self.path_sig);
-        mix(self.output.len() as u64);
-        mix(self.output.last().copied().unwrap_or(0));
-        mix(match &self.finished {
-            None => 0,
-            Some(ExitReason::Halted) => 1,
-            Some(ExitReason::Timeout) => 2,
-            Some(ExitReason::Crash(_)) => 3,
-            Some(ExitReason::Assert(_)) => 4,
-        });
-        h
     }
 
     /// Demote this core after its state became untrusted — typically because
@@ -1689,17 +1645,11 @@ impl std::ops::AddAssign for RestoredBytes {
 }
 
 /// Per-structure accounting of one [`Cpu::fork_from`] call.
-///
-/// `eager` is the counterfactual baseline — what the pre-CoW fork path
-/// would have copied (the source's touched entries and diverged queues) —
-/// so `copied` vs `eager` measures exactly what structural sharing saved.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkStats {
     /// Bytes physically copied (small eager structures like the rename
     /// table, whose map is cheaper to copy than a page handle).
     pub copied: RestoredBytes,
-    /// Bytes the pre-CoW per-entry fork would have copied.
-    pub eager: RestoredBytes,
     /// Bytes made equal to the source by sharing page handles.
     pub shared: RestoredBytes,
 }
@@ -1707,7 +1657,6 @@ pub struct ForkStats {
 impl std::ops::AddAssign for ForkStats {
     fn add_assign(&mut self, rhs: Self) {
         self.copied += rhs.copied;
-        self.eager += rhs.eager;
         self.shared += rhs.shared;
     }
 }

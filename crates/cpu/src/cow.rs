@@ -1,6 +1,6 @@
 //! Copy-on-write storage substrate for the forkable pipeline structures.
 //!
-//! The fork-on-divergence driver (`merlin-inject`'s batched engine) spawns
+//! The fork-on-divergence driver (`merlin-inject`'s campaign engine) spawns
 //! one faulty core per injection cycle from a shared golden parent.  Before
 //! this substrate, `Cpu::fork_from` deep-copied every entry the parent had
 //! touched since its restore — O(touched) bytes per fork, dominated by the
@@ -217,18 +217,13 @@ impl<T: BinCode + Clone> CowTable<T> {
 /// Byte accounting one structure reports from its fork path (summed into
 /// [`crate::ForkStats`] by `Cpu::fork_from`).
 ///
-/// * `copied` — bytes the fork physically copied (eager, unconditional).
-/// * `eager` — bytes the pre-CoW fork path would have copied for the same
-///   source state (its touched entries plus diverged queues): the PR 9
-///   baseline the `fork_bytes_copied` reduction is measured against.
+/// * `copied` — bytes the fork physically copied (unconditionally).
 /// * `shared` — bytes now referenced structurally through shared page
 ///   handles instead of being copied.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ForkBytes {
     /// Bytes physically copied by the fork.
     pub copied: u64,
-    /// Bytes an eager (pre-CoW) fork of the same source would have copied.
-    pub eager: u64,
     /// Bytes shared structurally instead of copied.
     pub shared: u64,
 }
@@ -238,7 +233,6 @@ impl std::ops::Add for ForkBytes {
     fn add(self, rhs: ForkBytes) -> ForkBytes {
         ForkBytes {
             copied: self.copied + rhs.copied,
-            eager: self.eager + rhs.eager,
             shared: self.shared + rhs.shared,
         }
     }

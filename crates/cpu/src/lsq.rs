@@ -270,7 +270,6 @@ impl StoreQueue {
         let slot_bytes = std::mem::size_of::<SqSlot>() as u64;
         ForkBytes {
             copied: 0,
-            eager: src.touched.count() as u64 * slot_bytes,
             shared: src.slots.len() as u64 * slot_bytes,
         }
     }
@@ -437,7 +436,6 @@ impl LoadQueue {
         let slot_bytes = std::mem::size_of::<Option<u64>>() as u64;
         ForkBytes {
             copied: 0,
-            eager: src.touched.count() as u64 * slot_bytes,
             shared: src.seqs.len() as u64 * slot_bytes,
         }
     }

@@ -416,16 +416,9 @@ impl Memory {
     /// Makes `self` an exact structural replica of `src`: every live chunk
     /// shares `src`'s handle, and the dirty/touched bitsets are copied
     /// verbatim.  No bytes move — a written chunk un-shares lazily on either
-    /// side's first subsequent write.  `eager` in the returned [`ForkBytes`]
-    /// is what the pre-CoW fork path would have copied (the chunks `src`
-    /// wrote since its last restore).
+    /// side's first subsequent write.
     pub fn fork_from(&mut self, src: &Self) -> ForkBytes {
         debug_assert_eq!(self.len(), src.len());
-        let eager: u64 = src
-            .touched
-            .iter()
-            .map(|c| src.chunk_range(c).len() as u64)
-            .sum();
         self.bytes.share_from(&src.bytes);
         if !self.pristine.is_empty() && !src.pristine.is_empty() {
             // Byte-identical by construction (same program image); sharing
@@ -436,7 +429,6 @@ impl Memory {
         self.touched.copy_from(&src.touched);
         ForkBytes {
             copied: 0,
-            eager,
             shared: self.len(),
         }
     }

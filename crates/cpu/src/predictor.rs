@@ -141,7 +141,6 @@ impl BranchPredictor {
         self.gshare_touched.copy_from(&src.gshare_touched);
         ForkBytes {
             copied: 0,
-            eager: (src.bimodal_touched.count() + src.gshare_touched.count()) as u64,
             shared: (src.bimodal.len() + src.gshare.len()) as u64,
         }
     }
@@ -295,7 +294,6 @@ impl Btb {
         let entry_bytes = std::mem::size_of::<Option<(Rip, Rip)>>() as u64;
         ForkBytes {
             copied: 0,
-            eager: src.touched.count() as u64 * entry_bytes,
             shared: src.entries.len() as u64 * entry_bytes,
         }
     }

@@ -123,7 +123,6 @@ impl PhysRegFile {
         self.touched.copy_from(&src.touched);
         ForkBytes {
             copied: 0,
-            eager: src.touched.count() as u64 * PRF_ENTRY_BYTES,
             shared: src.values.len() as u64 * PRF_ENTRY_BYTES,
         }
     }
@@ -330,14 +329,13 @@ impl RenameTable {
     }
 
     /// Forks from `src` by copying the whole map — at [`NUM_ARCH_REGS`]
-    /// entries it is smaller than a page handle, so eager is the cheap
+    /// entries it is smaller than a page handle, so copying is the cheap
     /// option — and mirroring the source's tags.
     pub(crate) fn fork_from(&mut self, src: &Self) -> ForkBytes {
         self.map = src.map;
         self.touched.copy_from(&src.touched);
         ForkBytes {
             copied: (NUM_ARCH_REGS * std::mem::size_of::<PhysReg>()) as u64,
-            eager: src.touched.count() as u64 * std::mem::size_of::<PhysReg>() as u64,
             shared: 0,
         }
     }

@@ -236,9 +236,7 @@ pub fn restore_deque<T: Clone>(
 /// Forks a queue from its source by cloning the handle — the fork shares the
 /// source's storage until one of them writes — and mirrors the source's tag
 /// (the fork's divergence from the shared restore base is exactly the
-/// source's).  The returned [`ForkBytes`] reports the whole queue as shared
-/// and, as the eager baseline, the bytes the pre-CoW path would have copied
-/// (the full queue iff the source had diverged).
+/// source's).  The returned [`ForkBytes`] reports the whole queue as shared.
 pub fn fork_deque<T: Clone>(
     live: &mut CowSeq<T>,
     src: &CowSeq<T>,
@@ -250,7 +248,6 @@ pub fn fork_deque<T: Clone>(
     live_tag.copy_from(src_tag);
     ForkBytes {
         copied: 0,
-        eager: if src_tag.is_set() { bytes } else { 0 },
         shared: bytes,
     }
 }
@@ -316,19 +313,17 @@ mod tests {
         let src_tag = TouchedFlag::default();
         let mut live = base.clone();
         let mut live_tag = TouchedFlag::default();
-        // Source still equals the shared base: the fork shares the handle and
-        // nothing would have been copied eagerly.
+        // Source still equals the shared base: the fork shares the handle.
         let fb = fork_deque(&mut live, &src, &src_tag, &mut live_tag);
-        assert_eq!((fb.copied, fb.eager, fb.shared), (0, 0, 4 * 4));
+        assert_eq!((fb.copied, fb.shared), (0, 4 * 4));
         assert!(!live_tag.is_set());
-        // A diverged source is shared too, but the eager baseline records the
-        // wholesale copy the pre-CoW path would have made, and the fork's tag
-        // mirrors the source's divergence.
+        // A diverged source is shared too, and the fork's tag mirrors the
+        // source's divergence.
         src.make_mut().push_back(9);
         let mut src_tag = TouchedFlag::default();
         src_tag.mark();
         let fb = fork_deque(&mut live, &src, &src_tag, &mut live_tag);
-        assert_eq!((fb.copied, fb.eager, fb.shared), (0, 5 * 4, 5 * 4));
+        assert_eq!((fb.copied, fb.shared), (0, 5 * 4));
         assert_eq!(live, src);
         assert!(live_tag.is_set());
     }

@@ -1,113 +1,80 @@
-//! Fork-on-divergence batched suffix simulation: one golden replay per
-//! checkpoint range, faulty cores forked lazily from the live golden state,
-//! probe-driven retirement and fault-equivalence merging.
+//! Fork-on-divergence suffix simulation, the checkpointed campaign engine:
+//! one golden replay per checkpoint range, one faulty core forked from the
+//! live golden state per fault, probe-driven retirement.
 //!
 //! # The inversion
 //!
-//! The per-fault engine ([`run_fault_from_checkpoint`]) restores a golden
-//! snapshot *per fault* and replays the fault-free prefix from the restore
-//! point to the injection cycle before any faulty behaviour exists.  For a
-//! range holding `k` faults that prefix replay is paid `k` times, and every
-//! replayed cycle is — by the determinism of the core — bit-identical to
-//! the golden run the checkpoint was taken from.
+//! Restoring a golden snapshot *per fault* would replay the fault-free
+//! prefix from the restore point to the injection cycle before any faulty
+//! behaviour exists.  For a range holding `k` faults that prefix replay
+//! would be paid `k` times, and every replayed cycle is — by the
+//! determinism of the core — bit-identical to the golden run the
+//! checkpoint was taken from.
 //!
-//! The batched driver inverts the loop.  Per checkpoint range it:
+//! The driver inverts the loop.  Per checkpoint range it:
 //!
 //! 1. restores **one golden core** from the range's shared snapshot and
 //!    drives it forward exactly once, stopping at each injection cycle
 //!    (`golden_replay_cycles`),
 //! 2. **forks** a faulty core at each fault's injection cycle: a pool core
 //!    is incrementally restored from the same snapshot, then
-//!    [`Cpu::fork_from`] copies only the golden core's
-//!    *touched-since-restore* entries — O(divergence), not O(state) —
-//!    and the fault is injected,
-//! 3. **merges** forks spawned at the same cycle whose complete states
-//!    collide (fault equivalence — in practice, same-site duplicate
-//!    faults): the later fork adopts the earlier one's eventual outcome
-//!    (`forks_merged`) without simulating.  Equal state at equal cycle
-//!    implies identical futures, so the shared classification is exact,
-//!    not approximate.  A cheap [`Cpu::merge_fingerprint`] prefilter
-//!    keeps the exact comparison off the common path,
-//! 4. runs each surviving fork **to retirement on the spot** — the same
-//!    boundary-probe loop as the per-fault engine, verbatim: at each
-//!    retained checkpoint boundary the fork crosses, its state is compared
-//!    against the golden checkpoint through the memoised golden-to-golden
-//!    diff ([`Cpu::matches_state_with_diff`]); a fork that re-converged
-//!    with the golden stream is retired Masked immediately
-//!    (`forks_retired`), anything else runs to halt or timeout and is
-//!    classified against the golden result.  Running forks back-to-back
-//!    (instead of interleaving them cycle-by-cycle) keeps exactly one
-//!    core's working set hot.
+//!    [`Cpu::fork_from`] shares the golden core's state structurally
+//!    (copy-on-write, O(metadata)) and the fault is injected,
+//! 3. runs the fork **to retirement on the spot** through
+//!    [`run_to_retirement`], the boundary-probe loop it shares with
+//!    [`FaultInjector`](crate::FaultInjector): at each retained checkpoint
+//!    boundary the fork crosses, its state is compared against the golden
+//!    checkpoint through the memoised golden-to-golden diff
+//!    ([`Cpu::matches_state_with_diff`]); a fork that re-converged with the
+//!    golden stream is retired Masked immediately (`forks_retired`),
+//!    anything else runs to halt or timeout and is classified against the
+//!    golden result.
+//!
+//! Forks run back-to-back, never interleaved, so a worker needs exactly two
+//! cores — the golden core and the current fork — and keeps one core's
+//! working set hot at a time.
 //!
 //! # Determinism
 //!
 //! A fork spawned while the golden core sits at the fault's injection
-//! cycle is bit-identical to a per-fault core restored from the same
-//! snapshot and stepped fault-free to that cycle, and both apply the fault
-//! at the same step.  From there the fork's simulation loop *is* the
-//! per-fault engine's loop, so batched campaigns produce byte-identical
-//! [`CampaignResult::outcomes`](crate::CampaignResult::outcomes) to the
-//! per-fault path at any thread count — the per-fault engine stays wired
-//! in as the oracle and `tests/batched_determinism.rs` pins the
-//! equivalence.  What changes is only the work: the fault-free prefix
-//! replay is paid once per range instead of once per fault.
+//! cycle is bit-identical to a core restored from the same snapshot and
+//! stepped fault-free to that cycle, and both apply the fault at the same
+//! step.  From there the fork's simulation loop *is* the injector's loop,
+//! so campaigns produce byte-identical
+//! [`CampaignResult::outcomes`](crate::CampaignResult::outcomes) to
+//! [`Session::campaign_from_scratch`](crate::Session::campaign_from_scratch)
+//! and to a [`FaultInjector`](crate::FaultInjector) run per fault, at any
+//! thread count; `tests/batched_determinism.rs` pins the equivalence.
 //!
 //! # Failure containment
 //!
-//! Every golden-replay segment, fork spawn, merge comparison and fork run
-//! executes under its own `catch_unwind`.  A panic quarantines *only the
-//! panicking core* (its next restore is a forced full restore), returns
-//! every other core to the pool, and abandons the batched attempt; the
-//! scheduler then re-runs the whole range inline on the per-fault path,
-//! whose own per-fault containment classifies a deterministically
-//! panicking fault as [`Assert`](crate::FaultEffect::Assert) exactly as it
-//! always did.
-//!
-//! [`run_fault_from_checkpoint`]: crate::campaign::run_fault_from_checkpoint
+//! A panic during a fork's spawn or run classifies that fault
+//! [`Assert`](crate::FaultEffect::Assert) with zero suffix cycles and
+//! quarantines the fork's core, which goes back on top of the pool so the
+//! worker's next restore is the forced full restore (counted in
+//! `poisoned_restores`).  A panic in the golden core's restore or replay
+//! unwinds to the scheduler's range-level containment: one retry on fresh
+//! cores, then the whole range is classified `Assert`.
 
-use crate::campaign::{DiffCache, FaultRun, GoldenCheckpoints, GoldenRun};
-use crate::classify::{classify, FaultEffect};
-use merlin_cpu::{Cpu, CpuConfig, FaultSpec, ForkStats, NullProbe, RestoreStats, RestoredBytes};
+use crate::campaign::{run_to_retirement, DiffCache, FaultOutcome, GoldenCheckpoints, GoldenRun};
+use crate::classify::FaultEffect;
+use crate::schedule::ScheduleStats;
+use merlin_cpu::{Cpu, CpuConfig, FaultSpec, NullProbe};
 use merlin_isa::{DecodedProgram, Program};
-use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// How a campaign simulates the faults of one checkpoint range.
-///
-/// Selected per session via
-/// [`SessionBuilder::batching`](crate::SessionBuilder::batching) or per
-/// scheduler via
-/// [`CampaignScheduler::with_batching`](crate::CampaignScheduler::with_batching).
-/// Outcomes are byte-identical across both modes (and across thread
-/// counts); only [`ScheduleStats`](crate::ScheduleStats) differs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchingPolicy {
-    /// One restore and one fault-free prefix replay per fault — the
-    /// original engine, kept as the differential oracle for the batched
-    /// path.
-    #[default]
-    PerFault,
-    /// One golden replay per checkpoint range; faulty cores are forked
-    /// from the live golden core at their injection cycles, merged on
-    /// state collision and retired on re-convergence.  Falls back to
-    /// [`BatchingPolicy::PerFault`] per range on any panic and on
-    /// from-scratch campaigns (which have no checkpoint store).
-    Batched,
-}
-
-/// Per-worker pool of reusable cores for the batched driver: the golden
-/// replay core plus one per fork spawned at the same injection cycle.
-/// Retired forks return their cores here, so a worker needs at most
-/// `max_same_cycle_faults + 1` core constructions over the whole campaign.
+/// Per-worker pool of reusable cores: the golden replay core and the
+/// current fork.  Cores are built on demand and reused for the whole
+/// campaign; a quarantined core is pushed last so the next
+/// [`ForkPool::take`] restores it first.
 pub(crate) struct ForkPool {
     program: Arc<Program>,
     decoded: Arc<DecodedProgram>,
     cfg: Arc<CpuConfig>,
     idle: Vec<Cpu>,
     /// Copy-on-write sharing breaks drained from cores as they return to
-    /// the pool (see [`Cpu::take_cow_breaks`]); harvested into
-    /// [`BatchStats::cow_breaks`] at the end of each batched range.
+    /// the pool (see [`Cpu::take_cow_breaks`]).
     cow_breaks: u64,
 }
 
@@ -127,9 +94,8 @@ impl ForkPool {
     }
 
     /// Pops an idle core, constructing one if the pool is dry.  `None`
-    /// means the configuration cannot build a core at all; the caller
-    /// aborts to the per-fault path, which classifies that case.
-    pub(crate) fn take(&mut self) -> Option<Cpu> {
+    /// means the configuration cannot build a core at all.
+    fn take(&mut self) -> Option<Cpu> {
         self.idle.pop().or_else(|| {
             Cpu::with_predecoded(
                 Arc::clone(&self.program),
@@ -140,14 +106,9 @@ impl ForkPool {
         })
     }
 
-    pub(crate) fn put(&mut self, mut cpu: Cpu) {
+    fn put(&mut self, mut cpu: Cpu) {
         self.cow_breaks += cpu.take_cow_breaks();
         self.idle.push(cpu);
-    }
-
-    /// Drains the sharing-break tally accumulated by [`ForkPool::put`].
-    pub(crate) fn take_cow_breaks(&mut self) -> u64 {
-        std::mem::take(&mut self.cow_breaks)
     }
 
     /// Drops every pooled core (range retries start from fresh cores).
@@ -156,141 +117,14 @@ impl ForkPool {
     }
 }
 
-/// Execution tallies of one successful batched range, merged into the
-/// worker's stats by the scheduler.  The golden core's single restore is
-/// reported here (it belongs to the range, not to any fault).
-#[derive(Default)]
-pub(crate) struct BatchStats {
-    pub forks_spawned: u64,
-    pub forks_retired: u64,
-    pub forks_merged: u64,
-    /// Cycles the shared golden core replayed for this range — the work
-    /// the fork-on-divergence inversion pays *once* instead of per fault
-    /// (kept out of `suffix_cycles`, which counts faulty-core cycles
-    /// only).
-    pub golden_replay_cycles: u64,
-    pub golden_restores: u64,
-    pub golden_full_restores: u64,
-    pub golden_incremental_restores: u64,
-    pub golden_poisoned_restores: u64,
-    pub golden_restored_bytes: RestoredBytes,
-    /// Fork copy economics of every fork the range spawned: bytes actually
-    /// copied under copy-on-write, the bytes an eager (pre-CoW) fork would
-    /// have copied for the same forks, and the bytes adopted by handle
-    /// sharing.  Kept out of the per-fault [`FaultRun`] accounting so
-    /// `restored_bytes` stays directly comparable between the batched and
-    /// per-fault engines.
-    pub fork_bytes: ForkStats,
-    /// Copy-on-write sharing breaks drained from cores as they returned to
-    /// the pool during this range (first private write after a fork or a
-    /// handle-sharing restore).
-    pub cow_breaks: u64,
-    /// Merge-prefilter fingerprint collisions: candidate pairs whose cheap
-    /// [`Cpu::merge_fingerprint`] matched and advanced to the exact state
-    /// comparison.  [`BatchStats::forks_merged`] counts the confirmations;
-    /// the gap between the two is the prefilter's false-positive volume.
-    pub merge_prefilter_hits: u64,
-}
-
-/// A fork whose outcome was adopted from its merge representative; only
-/// its per-fault bookkeeping remains to be attached once the
-/// representative's effect is known.
-struct MergedFork {
-    idx: usize,
-    restore: RestoreStats,
-}
-
-/// One faulty core forked from the golden replay, fault injected, not yet
-/// simulated.
-struct Fork {
-    idx: usize,
-    spawn_cycle: u64,
-    restore: RestoreStats,
-    core: Cpu,
-    /// Same-cycle forks merged into this one; they share its eventual
-    /// outcome.
-    followers: Vec<MergedFork>,
-}
-
-fn fault_run(
-    effect: FaultEffect,
-    early_exit: bool,
-    restore: RestoreStats,
-    suffix_cycles: u64,
-) -> FaultRun {
-    // Fork bytes are deliberately *not* folded into `bytes`: under
-    // copy-on-write a fork copies almost nothing, and what it does move is
-    // reported separately as [`BatchStats::fork_bytes`] so the restore
-    // accounting stays directly comparable to the per-fault engine's.
-    FaultRun {
-        effect,
-        early_exit,
-        restored: true,
-        incremental: restore.incremental,
-        bytes: restore.bytes,
-        suffix_cycles,
-        skipped_site: false,
-        from_quarantine: restore.from_quarantine,
-    }
-}
-
-/// Finalises a fork: returns its core to the pool and emits its outcome
-/// plus one outcome per merged follower, all sharing `effect` (followers
-/// simulated zero cycles — that is the merge win).
-fn retire_fork(
-    fork: Fork,
-    effect: FaultEffect,
-    early_exit: bool,
-    suffix_cycles: u64,
-    pool: &mut ForkPool,
-    out: &mut Vec<(usize, FaultRun)>,
-) {
-    let Fork {
-        idx,
-        restore,
-        core,
-        followers,
-        ..
-    } = fork;
-    pool.put(core);
-    out.push((idx, fault_run(effect, early_exit, restore, suffix_cycles)));
-    for f in followers {
-        out.push((f.idx, fault_run(effect, early_exit, f.restore, 0)));
-    }
-}
-
-/// Returns every surviving core to the pool, with the panicking core (if
-/// any) quarantined and pushed last — so the per-fault fallback picks it
-/// up first and its forced full restore is exercised (and visible as a
-/// poisoned restore) instead of the core rotting at the bottom of the
-/// pool.
-fn abort_to_pool(
-    pool: &mut ForkPool,
-    golden_core: Option<Cpu>,
-    pending: Vec<Fork>,
-    bad: Option<Cpu>,
-) {
-    for f in pending {
-        pool.put(f.core);
-    }
-    if let Some(g) = golden_core {
-        pool.put(g);
-    }
-    if let Some(mut b) = bad {
-        b.quarantine();
-        pool.put(b);
-    }
-}
-
-/// Runs one checkpoint range's simulated faults through the batched
-/// driver.  `sim` holds the fault-list indices that actually reach a core
+/// Runs one checkpoint range's simulated faults through the driver,
+/// appending one outcome per fault to `out` and its tallies to `stats`.
+/// `sim` holds the fault-list indices that actually reach a core
 /// (statically-pruned and absent-site faults are resolved by the caller),
 /// cycle-sorted; every fault shares the range's restore snapshot by the
-/// scheduler's bucketing.  Returns `None` if any operation panicked or a
-/// core could not be built — the panicking core is quarantined, every
-/// other core is back in the pool, and the caller re-runs the whole range
-/// on the per-fault path.
-pub(crate) fn run_batched_range(
+/// scheduler's bucketing.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_range(
     pool: &mut ForkPool,
     golden: &GoldenRun,
     ckpts: &GoldenCheckpoints,
@@ -298,187 +132,80 @@ pub(crate) fn run_batched_range(
     diffs: &mut DiffCache,
     faults: &[FaultSpec],
     sim: &[usize],
-) -> Option<(Vec<(usize, FaultRun)>, BatchStats)> {
-    let mut stats = BatchStats::default();
-    let mut out: Vec<(usize, FaultRun)> = Vec::with_capacity(sim.len());
-    if sim.is_empty() {
-        return Some((out, stats));
-    }
-    let state = ckpts.store.latest_at_or_before(faults[sim[0]].cycle)?;
-    let restore_cycle = state.cycle();
-    let timeout = golden.timeout_cycles;
-    let early_exit = ckpts.policy.early_exit;
-
-    let mut golden_core = pool.take()?;
-    let golden_restore = match catch_unwind(AssertUnwindSafe(|| golden_core.restore_from(state))) {
-        Ok(r) => r,
-        Err(_) => {
-            abort_to_pool(pool, None, Vec::new(), Some(golden_core));
-            return None;
-        }
+    stats: &mut ScheduleStats,
+    out: &mut Vec<(usize, FaultOutcome)>,
+) {
+    let Some(&first) = sim.first() else {
+        return;
     };
-    stats.golden_restores = 1;
-    stats.golden_full_restores = u64::from(!golden_restore.incremental);
-    stats.golden_incremental_restores = u64::from(golden_restore.incremental);
-    stats.golden_poisoned_restores = u64::from(golden_restore.from_quarantine);
-    stats.golden_restored_bytes = golden_restore.bytes;
-
-    let mut next_sim = 0usize;
-    while next_sim < sim.len() {
-        // Replay the golden core up to the next injection cycle — never
-        // past it, so the fork sees exactly the state a per-fault core has
-        // after replaying to that cycle.  Once the golden run halts its
-        // cycle freezes and all remaining forks clone the frozen final
-        // state: their faults would never fire on the per-fault path
-        // either, and the cloned cores finalise immediately with the
-        // golden result.
-        let target = faults[sim[next_sim]].cycle;
-        if !golden_core.is_finished() && golden_core.cycle() < target {
-            let stepped = catch_unwind(AssertUnwindSafe(|| {
-                let mut n = 0u64;
-                while !golden_core.is_finished() && golden_core.cycle() < target {
-                    golden_core.step(&mut NullProbe);
-                    n += 1;
-                }
-                n
-            }));
-            match stepped {
-                Ok(n) => stats.golden_replay_cycles += n,
-                Err(_) => {
-                    abort_to_pool(pool, None, Vec::new(), Some(golden_core));
-                    return None;
-                }
-            }
-        }
-
-        // Spawn the cohort of faults due at this golden state, merging
-        // forks whose complete post-spawn states collide (in practice:
-        // duplicate same-site faults) before any of them simulates.
-        let cycle = golden_core.cycle();
-        let mut cohort: Vec<Fork> = Vec::new();
-        while next_sim < sim.len()
-            && (golden_core.is_finished() || faults[sim[next_sim]].cycle <= cycle)
-        {
-            let idx = sim[next_sim];
-            let fault = faults[idx];
-            next_sim += 1;
-            let Some(mut core) = pool.take() else {
-                abort_to_pool(pool, Some(golden_core), cohort, None);
-                return None;
-            };
-            let forked = catch_unwind(AssertUnwindSafe(|| {
-                crate::chaos::maybe_panic_fault(fault.cycle);
-                let restore = core.restore_from(state);
-                let fork_bytes = core.fork_from(&golden_core);
-                (restore, fork_bytes)
-            }));
-            let (restore, fork_bytes) = match forked {
-                Ok(r) => r,
-                Err(_) => {
-                    abort_to_pool(pool, Some(golden_core), cohort, Some(core));
-                    return None;
-                }
-            };
-            stats.fork_bytes += fork_bytes;
-            if core.inject_fault(fault).is_err() {
-                // Absent fault site: same resolution as the per-fault
-                // engine.
-                out.push((idx, FaultRun::skipped(true, Some(restore))));
-                pool.put(core);
-                continue;
-            }
-            stats.forks_spawned += 1;
-            let merged = catch_unwind(AssertUnwindSafe(|| {
-                let fp = core.merge_fingerprint();
-                let mut prefilter_hits = 0u64;
-                let hit = cohort.iter().position(|rep| {
-                    if rep.core.merge_fingerprint() != fp {
-                        return false;
-                    }
-                    prefilter_hits += 1;
-                    rep.core.matches_state(&core.snapshot())
-                });
-                (hit, prefilter_hits)
-            }));
-            match merged {
-                Ok((hit, prefilter_hits)) => {
-                    stats.merge_prefilter_hits += prefilter_hits;
-                    match hit {
-                        Some(k) => {
-                            pool.put(core);
-                            stats.forks_merged += 1;
-                            cohort[k].followers.push(MergedFork { idx, restore });
-                        }
-                        None => cohort.push(Fork {
-                            idx,
-                            spawn_cycle: cycle,
-                            restore,
-                            core,
-                            followers: Vec::new(),
-                        }),
-                    }
-                }
-                Err(_) => {
-                    // The comparison touched several cores and left no
-                    // single culprit; return everything and let the
-                    // per-fault path contain the fault.
-                    pool.put(core);
-                    abort_to_pool(pool, Some(golden_core), cohort, None);
-                    return None;
-                }
-            }
-        }
-
-        // Run each representative to retirement, back-to-back (one hot
-        // core at a time).  This loop is the per-fault engine's
-        // simulation loop verbatim, minus the prefix replay it no longer
-        // needs: boundary convergence probes through the memoised
-        // golden-to-golden diff, then a final run to halt or timeout.
-        while !cohort.is_empty() {
-            let mut fork = cohort.remove(0);
-            let fault_cycle = faults[fork.idx].cycle;
-            let ran = catch_unwind(AssertUnwindSafe(|| {
-                let mut probe = NullProbe;
-                let mut next = boundaries.partition_point(|&c| c <= fault_cycle);
-                while !fork.core.is_finished() && fork.core.cycle() < timeout {
-                    if early_exit && next < boundaries.len() {
-                        if boundaries[next] < fork.core.cycle() {
-                            next += 1;
-                        } else if boundaries[next] == fork.core.cycle() {
-                            if let Some(g) = ckpts.store.at_cycle(fork.core.cycle()) {
-                                let diff = diffs
-                                    .entry((restore_cycle, fork.core.cycle()))
-                                    .or_insert_with(|| state.diff_to(g));
-                                if fork.core.matches_state_with_diff(g, diff) {
-                                    return (
-                                        FaultEffect::Masked,
-                                        true,
-                                        fork.core.cycle() - fork.spawn_cycle,
-                                    );
-                                }
-                            }
-                            next += 1;
-                        }
-                    }
-                    fork.core.step(&mut probe);
-                }
-                let result = fork.core.run(timeout, &mut probe);
-                let suffix = result.cycles.saturating_sub(fork.spawn_cycle);
-                (classify(&golden.result, &result), false, suffix)
-            }));
-            match ran {
-                Ok((effect, early, suffix)) => {
-                    stats.forks_retired += u64::from(early);
-                    retire_fork(fork, effect, early, suffix, pool, &mut out);
-                }
-                Err(_) => {
-                    abort_to_pool(pool, Some(golden_core), cohort, Some(fork.core));
-                    return None;
-                }
-            }
-        }
+    let state = ckpts
+        .store
+        .latest_at_or_before(faults[first].cycle)
+        .expect("campaigns only use stores that start at the cycle-0 snapshot");
+    let mut golden_core = pool.take();
+    if let Some(g) = golden_core.as_mut() {
+        stats.count_restore(g.restore_from(state));
     }
-    pool.put(golden_core);
-    stats.cow_breaks = pool.take_cow_breaks();
-    Some((out, stats))
+    for &idx in sim {
+        let fault = faults[idx];
+        let (Some(g), Some(mut core)) = (golden_core.as_mut(), pool.take()) else {
+            // The configuration cannot build a core: nothing simulates.
+            stats.asserts += 1;
+            out.push((
+                idx,
+                FaultOutcome {
+                    fault,
+                    effect: FaultEffect::Assert,
+                },
+            ));
+            continue;
+        };
+        // Replay the golden core up to the injection cycle — never past it,
+        // so the fork sees exactly the state a restored core has after
+        // replaying to that cycle.  Once the golden run halts its cycle
+        // freezes and the remaining forks clone the frozen final state:
+        // their faults never fire, and they finalise immediately with the
+        // golden result.
+        while !g.is_finished() && g.cycle() < fault.cycle {
+            g.step(&mut NullProbe);
+            stats.golden_replay_cycles += 1;
+        }
+        let spawn_cycle = g.cycle();
+        let ran = catch_unwind(AssertUnwindSafe(|| {
+            stats.count_restore(core.restore_from(state));
+            let fork = core.fork_from(g);
+            stats.forks_spawned += 1;
+            stats.fork_bytes_copied += fork.copied.total();
+            stats.fork_bytes_shared += fork.shared.total();
+            core.inject_fault(fault)
+                .expect("absent fault sites are resolved before dispatch");
+            run_to_retirement(
+                &mut core,
+                golden,
+                ckpts,
+                boundaries,
+                diffs,
+                state,
+                fault.cycle,
+            )
+        }));
+        let effect = match ran {
+            Ok((effect, early_exit, end_cycle)) => {
+                stats.forks_retired += u64::from(early_exit);
+                stats.suffix_cycles += end_cycle.saturating_sub(spawn_cycle);
+                effect
+            }
+            Err(_) => {
+                core.quarantine();
+                FaultEffect::Assert
+            }
+        };
+        pool.put(core);
+        stats.asserts += u64::from(effect == FaultEffect::Assert);
+        out.push((idx, FaultOutcome { fault, effect }));
+    }
+    if let Some(g) = golden_core {
+        pool.put(g);
+    }
+    stats.cow_breaks += std::mem::take(&mut pool.cow_breaks);
 }

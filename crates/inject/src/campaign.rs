@@ -25,16 +25,17 @@
 //!    to the [`CampaignScheduler`](crate::CampaignScheduler) (see the
 //!    [`schedule`](crate::schedule) module), which buckets it into
 //!    per-checkpoint ranges and binds workers to whole ranges so each
-//!    worker's restore snapshot stays hot.  Per fault, a worker restores the
-//!    latest checkpoint at or before the injection cycle, injects, and
-//!    simulates only the suffix against the golden timeout
-//!    ([`run_fault_from_checkpoint`]).
+//!    worker's restore snapshot stays hot.  Per range, a worker restores one
+//!    golden core from the range's checkpoint, replays it once through the
+//!    range's injection cycles and forks a faulty core at each of them (see
+//!    the [`batch`](crate::batch) module), so every fault simulates only its
+//!    suffix against the golden timeout.
 //! 3. While a faulty run is past its injection cycle, the worker compares the
 //!    core's state against the golden checkpoint stream at each retained
-//!    checkpoint cycle it crosses.  If the states are bit-identical the
-//!    remainder of the run is guaranteed identical to the golden run, so the
-//!    fault is classified Masked immediately (early exit) instead of
-//!    simulating to the end.
+//!    checkpoint cycle it crosses ([`run_to_retirement`]).  If the states are
+//!    bit-identical the remainder of the run is guaranteed identical to the
+//!    golden run, so the fault is classified Masked immediately (early exit)
+//!    instead of simulating to the end.
 //!
 //! The program and configuration are shared across workers via `Arc` — no
 //! per-fault `Program`/`CpuConfig` clones, no per-fault core construction.
@@ -49,8 +50,8 @@
 use crate::classify::{classify, Classification, FaultEffect};
 use crate::schedule::ScheduleStats;
 use merlin_cpu::{
-    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, FaultSpec, NullProbe, RestoredBytes,
-    RunResult, StateDiff,
+    CheckpointPolicy, CheckpointStore, Cpu, CpuConfig, CpuState, FaultSpec, NullProbe, RunResult,
+    StateDiff,
 };
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
@@ -222,207 +223,91 @@ pub(crate) fn build_golden_checkpointed(
     })
 }
 
-/// What one faulty run did, beyond its classification — the bookkeeping the
-/// scheduler aggregates into [`ScheduleStats`].
-pub(crate) struct FaultRun {
-    /// The classified effect.
-    pub effect: FaultEffect,
-    /// Whether the early-exit convergence test resolved the fault before the
-    /// program's end.
-    pub early_exit: bool,
-    /// Whether a checkpoint was restored for this fault (false for faults
-    /// resolved without touching the core).
-    pub restored: bool,
-    /// Whether that restore took the incremental same-snapshot path.
-    pub incremental: bool,
-    /// Bytes the restore rewrote, per pipeline structure (all zero when
-    /// nothing was restored).
-    pub bytes: RestoredBytes,
-    /// Cycles actually simulated, from the restore point (or cycle 0 on the
-    /// from-scratch path) to wherever the faulty run ended.
-    pub suffix_cycles: u64,
-    /// Whether the fault's site does not exist in this configuration (the
-    /// fault was classified Masked without simulating anything).
-    pub skipped_site: bool,
-    /// Whether this fault's restore lifted the core out of quarantine — i.e.
-    /// it was the forced full restore following a per-fault panic.
-    pub from_quarantine: bool,
-}
-
-impl FaultRun {
-    /// A fault resolved without simulating: the site does not exist in this
-    /// configuration, so the effect is Masked by definition.
-    pub(crate) fn skipped(restored: bool, restore: Option<merlin_cpu::RestoreStats>) -> FaultRun {
-        let restore = restore.unwrap_or(merlin_cpu::RestoreStats {
-            incremental: false,
-            from_quarantine: false,
-            bytes: RestoredBytes::default(),
-        });
-        FaultRun {
-            effect: FaultEffect::Masked,
-            early_exit: false,
-            restored,
-            incremental: restore.incremental,
-            bytes: restore.bytes,
-            suffix_cycles: 0,
-            skipped_site: true,
-            from_quarantine: restore.from_quarantine,
-        }
-    }
-}
-
 /// From-scratch single-fault run over a shared program image (no per-fault
-/// program clone).
+/// program clone): the fault's effect and the cycles simulated from cycle
+/// 0.  An absent fault site cannot affect this configuration and is Masked
+/// without simulating.
 pub(crate) fn run_single_fault_shared(
     program: &Arc<Program>,
     decoded: &Arc<DecodedProgram>,
     cfg: &CpuConfig,
     golden: &GoldenRun,
     fault: FaultSpec,
-) -> FaultRun {
-    let mut cpu = match Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
-    {
-        Ok(c) => c,
-        Err(_) => {
-            return FaultRun {
-                effect: FaultEffect::Assert,
-                early_exit: false,
-                restored: false,
-                incremental: false,
-                bytes: RestoredBytes::default(),
-                suffix_cycles: 0,
-                skipped_site: false,
-                from_quarantine: false,
-            }
-        }
+) -> (FaultEffect, u64) {
+    let Ok(mut cpu) = Cpu::with_predecoded(Arc::clone(program), Arc::clone(decoded), cfg.clone())
+    else {
+        return (FaultEffect::Assert, 0);
     };
     if cpu.inject_fault(fault).is_err() {
-        // A fault site that does not exist in this configuration cannot
-        // affect it.
-        return FaultRun::skipped(false, None);
+        return (FaultEffect::Masked, 0);
     }
     // An internal invariant violation inside the simulator is the paper's
     // Assert class: catch it rather than tearing the campaign down.  The
-    // panic path records zero suffix cycles, matching the checkpointed path.
+    // panic path records zero simulated cycles, matching the checkpointed
+    // engine.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         crate::chaos::maybe_panic_fault(fault.cycle);
         cpu.run(golden.timeout_cycles, &mut NullProbe)
     }));
     match outcome {
-        Ok(result) => FaultRun {
-            effect: classify(&golden.result, &result),
-            early_exit: false,
-            restored: false,
-            incremental: false,
-            bytes: RestoredBytes::default(),
-            suffix_cycles: result.cycles,
-            skipped_site: false,
-            from_quarantine: false,
-        },
-        Err(_) => FaultRun {
-            effect: FaultEffect::Assert,
-            early_exit: false,
-            restored: false,
-            incremental: false,
-            bytes: RestoredBytes::default(),
-            suffix_cycles: 0,
-            skipped_site: false,
-            from_quarantine: false,
-        },
+        Ok(result) => (classify(&golden.result, &result), result.cycles),
+        Err(_) => (FaultEffect::Assert, 0),
     }
 }
 
-/// Runs one fault on a reusable core by restoring the nearest checkpoint and
-/// simulating only the suffix.  Returns the same classification the
-/// from-scratch path would.
+/// Runs a core that was restored from the golden snapshot `restored` (and
+/// possibly advanced or forked since) and holds a fault injected at
+/// `fault_cycle`, until the fault's fate is known.  This is the one
+/// boundary-probe loop of the checkpointed engine, shared by the campaign
+/// driver ([`crate::batch`]) and [`FaultInjector`].
 ///
-/// `boundaries` is the ascending list of the store's checkpoint cycles
-/// (computed once per campaign or injector call); the early-exit convergence
-/// test walks it with a cursor, so it works for equal-cycle and suffix-work
-/// stores alike — retained checkpoints need not sit on any uniform grid.
+/// Early exit: past the injection cycle, the core's state is compared
+/// against the golden checkpoint stream at each retained checkpoint cycle
+/// it crosses (`boundaries`, ascending — equal-cycle and suffix-work stores
+/// alike).  Bit-identical state implies an identical remainder, hence
+/// Masked.  `diffs` memoises restore-source-to-boundary golden diffs so
+/// the probe compares only entries that could differ instead of the whole
+/// state.  Without a match the core runs to halt or timeout and is
+/// classified against the golden result.
 ///
-/// `diffs` memoises restore-source-to-boundary golden diffs so the
-/// convergence probe compares only entries that could differ (everything the
-/// suffix touched plus everything the golden run changed between the two
-/// snapshots) instead of the whole state.
-pub(crate) fn run_fault_from_checkpoint(
+/// Returns the effect, whether the probe retired the fault early, and the
+/// cycle the core stopped at.  Not panic-contained: callers catch, classify
+/// `Assert` and quarantine the core.
+pub(crate) fn run_to_retirement(
     cpu: &mut Cpu,
     golden: &GoldenRun,
     ckpts: &GoldenCheckpoints,
     boundaries: &[u64],
     diffs: &mut DiffCache,
-    fault: FaultSpec,
-) -> FaultRun {
-    if fault.entry >= cpu.structure_entries(fault.structure) {
-        // Same semantics as the from-scratch path: a fault site that does
-        // not exist in this configuration cannot affect it.
-        return FaultRun::skipped(false, None);
-    }
-    let state = ckpts
-        .store
-        .latest_at_or_before(fault.cycle)
-        .expect("campaigns only use stores that start at the cycle-0 snapshot");
-    let restore_cycle = state.cycle();
-    let restore = cpu.restore_from(state);
-    if cpu.inject_fault(fault).is_err() {
-        return FaultRun::skipped(true, Some(restore));
-    }
-    let early_exit = ckpts.policy.early_exit;
+    restored: &CpuState,
+    fault_cycle: u64,
+) -> (FaultEffect, bool, u64) {
+    crate::chaos::maybe_panic_fault(fault_cycle);
     let timeout = golden.timeout_cycles;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        crate::chaos::maybe_panic_fault(fault.cycle);
-        let mut probe = NullProbe;
-        // Early exit: past the injection cycle, compare against the golden
-        // checkpoint stream at each retained checkpoint boundary the run
-        // crosses.  Bit-identical state implies an identical remainder,
-        // hence Masked.  The cursor starts at the first boundary strictly
-        // after the injection cycle; every boundary is within the golden
-        // run by construction.
-        let mut next = boundaries.partition_point(|&c| c <= fault.cycle);
-        while !cpu.is_finished() && cpu.cycle() < timeout {
-            if early_exit && next < boundaries.len() {
-                if boundaries[next] < cpu.cycle() {
-                    next += 1;
-                } else if boundaries[next] == cpu.cycle() {
-                    if let Some(g) = ckpts.store.at_cycle(cpu.cycle()) {
-                        let diff = diffs
-                            .entry((restore_cycle, cpu.cycle()))
-                            .or_insert_with(|| state.diff_to(g));
-                        if cpu.matches_state_with_diff(g, diff) {
-                            return (FaultEffect::Masked, true, cpu.cycle() - restore_cycle);
-                        }
+    let mut probe = NullProbe;
+    // The cursor starts at the first boundary strictly after the injection
+    // cycle; every boundary is within the golden run by construction.
+    let mut next = boundaries.partition_point(|&c| c <= fault_cycle);
+    while !cpu.is_finished() && cpu.cycle() < timeout {
+        if ckpts.policy.early_exit && next < boundaries.len() {
+            if boundaries[next] < cpu.cycle() {
+                next += 1;
+            } else if boundaries[next] == cpu.cycle() {
+                if let Some(g) = ckpts.store.at_cycle(cpu.cycle()) {
+                    let diff = diffs
+                        .entry((restored.cycle(), cpu.cycle()))
+                        .or_insert_with(|| restored.diff_to(g));
+                    if cpu.matches_state_with_diff(g, diff) {
+                        return (FaultEffect::Masked, true, cpu.cycle());
                     }
-                    next += 1;
                 }
+                next += 1;
             }
-            cpu.step(&mut probe);
         }
-        let result = cpu.run(timeout, &mut probe);
-        let suffix = result.cycles.saturating_sub(restore_cycle);
-        (classify(&golden.result, &result), false, suffix)
-    }));
-    let (effect, early_exit, suffix_cycles) = match outcome {
-        Ok(o) => o,
-        Err(_) => {
-            // The panic unwound mid-step: the core's pipeline and
-            // touched-line bookkeeping are now untrusted, so demote it —
-            // its next restore is forced onto the full path instead of
-            // silently trusting incremental state.  Suffix cycles are
-            // recorded as 0, matching the from-scratch panic path.
-            cpu.quarantine();
-            (FaultEffect::Assert, false, 0)
-        }
-    };
-    FaultRun {
-        effect,
-        early_exit,
-        restored: true,
-        incremental: restore.incremental,
-        bytes: restore.bytes,
-        suffix_cycles,
-        skipped_site: false,
-        from_quarantine: restore.from_quarantine,
+        cpu.step(&mut probe);
     }
+    let result = cpu.run(timeout, &mut probe);
+    (classify(&golden.result, &result), false, result.cycles)
 }
 
 /// A reusable single-fault runner for callers that classify faults one at a
@@ -508,15 +393,19 @@ impl FaultInjector {
             .clone()
             .filter(|c| c.usable_for_campaigns());
         let Some(ckpts) = usable else {
-            let run = run_single_fault_shared(
+            return run_single_fault_shared(
                 &self.program,
                 &self.decoded,
                 &self.cfg,
                 &self.golden,
                 fault,
             );
-            return (run.effect, run.suffix_cycles);
         };
+        if fault.entry >= self.cfg.structure_entries(fault.structure) {
+            // Same semantics as the from-scratch path: a fault site that
+            // does not exist in this configuration cannot affect it.
+            return (FaultEffect::Masked, 0);
+        }
         if self.cpu.is_none() {
             match Cpu::with_predecoded(
                 Arc::clone(&self.program),
@@ -527,16 +416,36 @@ impl FaultInjector {
                 Err(_) => return (FaultEffect::Assert, 0),
             }
         }
-        let core = self.cpu.as_mut().expect("injector core initialised above");
-        let run = run_fault_from_checkpoint(
-            core,
-            &self.golden,
-            &ckpts,
-            &self.boundaries,
-            &mut self.diffs,
-            fault,
-        );
-        (run.effect, run.suffix_cycles)
+        let cpu = self.cpu.as_mut().expect("injector core initialised above");
+        let state = ckpts
+            .store
+            .latest_at_or_before(fault.cycle)
+            .expect("campaigns only use stores that start at the cycle-0 snapshot");
+        cpu.restore_from(state);
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cpu.inject_fault(fault).expect("fault site checked above");
+            run_to_retirement(
+                cpu,
+                &self.golden,
+                &ckpts,
+                &self.boundaries,
+                &mut self.diffs,
+                state,
+                fault.cycle,
+            )
+        }));
+        match outcome {
+            Ok((effect, _, end_cycle)) => (effect, end_cycle.saturating_sub(state.cycle())),
+            Err(_) => {
+                // The panic unwound mid-step: the core's pipeline and
+                // touched-line bookkeeping are now untrusted, so demote it —
+                // its next restore is forced onto the full path instead of
+                // silently trusting incremental state.  Simulated cycles are
+                // recorded as 0, matching the from-scratch panic path.
+                cpu.quarantine();
+                (FaultEffect::Assert, 0)
+            }
+        }
     }
 }
 

@@ -28,11 +28,10 @@
 //!   sub-ranges sharing the restore source — with per-campaign
 //!   [`ScheduleStats`] on every [`CampaignResult`] and byte-identical
 //!   outcomes at any thread count,
-//! * fork-on-divergence batched suffix simulation ([`BatchingPolicy`], see
-//!   the `batch` module): one golden replay per checkpoint range with
-//!   faulty cores forked lazily at their injection cycles, retired on
-//!   re-convergence and merged on state collision — byte-identical to the
-//!   per-fault engine, which stays wired in as the oracle,
+//! * fork-on-divergence suffix simulation, the checkpointed engine (see the
+//!   `batch` module): one golden replay per checkpoint range with one
+//!   faulty core forked at each injection cycle and retired on
+//!   re-convergence — byte-identical to from-scratch simulation,
 //! * the fault-effect classification of Table 2 ([`FaultEffect`],
 //!   [`classify`], [`Classification`]) and the truncated-run classification
 //!   of §4.4.3.4 ([`TruncatedEffect`]).
@@ -70,7 +69,6 @@ mod sampling;
 pub mod schedule;
 mod session;
 
-pub use batch::BatchingPolicy;
 pub use campaign::{
     CampaignError, CampaignResult, FaultInjector, FaultOutcome, GoldenCheckpoints, GoldenRun,
 };

@@ -26,10 +26,16 @@
 //! range-bound workers finish together instead of one worker dragging the
 //! campaign's tail.
 //!
+//! Within a range, statically-pruned and absent-site faults are resolved
+//! first, without a core; the rest run through the fork-on-divergence
+//! driver (see the `batch` module): one golden core replays the range's
+//! prefix once and each fault is forked from it at its injection cycle.
+//!
 //! Without a usable checkpoint store (from-scratch campaigns) the same
-//! machinery runs over contiguous chunks of the cycle-sorted order — there
-//! is no restore source to keep hot, but whole-chunk claiming keeps the
-//! scheduling overhead independent of the fault count.
+//! machinery runs over contiguous chunks of the cycle-sorted order, and
+//! every fault simulates from cycle 0 on a fresh core — there is no restore
+//! source to keep hot, but whole-chunk claiming keeps the scheduling
+//! overhead independent of the fault count.
 //!
 //! # Determinism
 //!
@@ -39,14 +45,13 @@
 //! [`CampaignResult::outcomes`] is byte-identical across thread counts and
 //! against the from-scratch path.  Only [`ScheduleStats`] varies.
 
-use crate::batch::{run_batched_range, BatchingPolicy, ForkPool};
+use crate::batch::{run_range, ForkPool};
 use crate::campaign::{
-    run_fault_from_checkpoint, run_single_fault_shared, CampaignResult, DiffCache, FaultOutcome,
-    GoldenCheckpoints, GoldenRun,
+    run_single_fault_shared, CampaignResult, DiffCache, FaultOutcome, GoldenCheckpoints, GoldenRun,
 };
 use crate::classify::{Classification, FaultEffect};
 use merlin_analyze::ProgramAnalysis;
-use merlin_cpu::{Cpu, CpuConfig, FaultSpec, RestoredBytes, Structure};
+use merlin_cpu::{CpuConfig, FaultSpec, RestoreStats, RestoredBytes, Structure};
 use merlin_isa::{DecodedProgram, Program};
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -73,8 +78,8 @@ pub struct ScheduleStats {
     /// Non-empty ranges the fault list was bucketed into (checkpoint ranges
     /// on the restore path, contiguous chunks on the from-scratch path).
     pub ranges: u64,
-    /// Checkpoint restores performed (one per fault that reached the core on
-    /// the restore path; 0 from scratch).
+    /// Checkpoint restores performed: one golden-core restore per range
+    /// that simulated anything, plus one per fork (0 from scratch).
     pub restores: u64,
     /// Whole ranges claimed by workers beyond their initial binding.
     pub range_steals: u64,
@@ -82,12 +87,14 @@ pub struct ScheduleStats {
     /// range whose fault count exceeds twice the mean is cut into
     /// near-mean-sized sub-ranges sharing the restore source).
     pub range_splits: u64,
-    /// Restores that rewrote the full checkpoint state (the first restore a
-    /// worker performs from a given snapshot).
+    /// Restores, golden-core and fork alike, that rewrote the full
+    /// checkpoint state (the first restore a core performs from a given
+    /// snapshot).
     pub full_restores: u64,
-    /// Restores served by the incremental same-snapshot path (only state
-    /// touched since the worker's previous restore of the same snapshot was
-    /// rewritten) — with range-bound workers, the overwhelming majority.
+    /// Restores, golden-core and fork alike, served by the incremental
+    /// same-snapshot path (only state touched since the core's previous
+    /// restore of the same snapshot was rewritten) — with range-bound
+    /// workers, every fork restore after a range's first.
     pub incremental_restores: u64,
     /// Bytes rewritten across all restores, over *every* restored structure:
     /// memory chunks, cache lines, register file, rename state, fetch
@@ -97,10 +104,12 @@ pub struct ScheduleStats {
     /// account of where restore work goes, and the direct measure of how
     /// much the epoch-tagged incremental path avoids rewriting.
     pub restored_breakdown: RestoredBytes,
-    /// Total cycles simulated across all faulty runs, from each fault's
-    /// restore point (cycle 0 from scratch) to wherever its run ended — the
-    /// work the checkpoint engine actually paid, directly comparable across
-    /// spacing strategies and against `faults × golden_cycles` from scratch.
+    /// Total cycles simulated across all faulty runs, from each fork's
+    /// spawn at its injection cycle (cycle 0 from scratch) to wherever its
+    /// run ended.  Together with [`ScheduleStats::golden_replay_cycles`]
+    /// this is the work the checkpoint engine actually paid, comparable
+    /// across spacing strategies and against `faults × golden_cycles` from
+    /// scratch.
     pub suffix_cycles: u64,
     /// Faults classified [`Assert`](crate::FaultEffect::Assert) by the
     /// engine's failure containment: a panic during the fault's own
@@ -108,7 +117,7 @@ pub struct ScheduleStats {
     /// constructed, or a worker that died without reporting.
     pub asserts: u64,
     /// Restores that lifted a core out of quarantine — the forced full
-    /// restore following a per-fault panic on that core.
+    /// restore following a fork's panic on that core.
     pub poisoned_restores: u64,
     /// Ranges whose first attempt panicked at range level and were returned
     /// to the pool for one retry on a fresh core.
@@ -122,51 +131,23 @@ pub struct ScheduleStats {
     /// (see `merlin_analyze::ProgramAnalysis::rf_entry_statically_dead`).
     /// Zero work is paid for them — no restore, no suffix cycles.
     pub static_prunes: u64,
-    /// Ranges executed by the fork-on-divergence batched driver (always 0
-    /// under [`BatchingPolicy::PerFault`](crate::BatchingPolicy) and on
-    /// the from-scratch path).
-    pub batched_ranges: u64,
-    /// Faulty cores forked from a live golden replay by the batched
-    /// driver (one per simulated fault in a batched range).
+    /// Faulty cores forked from a live golden replay (one per simulated
+    /// fault on the restore path; 0 from scratch).
     pub forks_spawned: u64,
-    /// Forks retired early by the boundary re-convergence probe — the
-    /// batched driver's share of [`CampaignResult::early_exits`]
-    /// (merged followers of a retired fork are counted under
-    /// [`ScheduleStats::forks_merged`] instead).
+    /// Forks retired early by the boundary re-convergence probe; equal to
+    /// [`CampaignResult::early_exits`].
     ///
     /// [`CampaignResult::early_exits`]: crate::CampaignResult::early_exits
     pub forks_retired: u64,
-    /// Forks whose complete post-injection state collided with an
-    /// earlier live fork's (fault equivalence): they adopted that fork's
-    /// eventual outcome and released their core without simulating their
-    /// own suffix.
-    ///
-    /// Expect this near zero on sampled campaigns: merging requires two
-    /// faults in the same range to produce *bit-identical* whole-core
-    /// state at the same cycle, which in practice means duplicate
-    /// (structure, entry, bit) sites injected at cycles that round to the
-    /// same fetch — vanishingly rare under uniform sampling over
-    /// `sites × cycles` (none occur in the 200-fault bench lists).  The
-    /// counter pays its way on adversarial or exhaustive per-site lists,
-    /// where duplicates are common.  Compare with
-    /// [`ScheduleStats::merge_prefilter_hits`] to see how often the cheap
-    /// fingerprint sent a candidate pair to the exact comparison at all.
-    pub forks_merged: u64,
-    /// Cycles the batched driver's shared golden cores replayed — the
-    /// per-range prefix work paid *once* instead of per fault.  Kept
-    /// separate from [`ScheduleStats::suffix_cycles`], which counts
-    /// faulty-core cycles only, so batched and per-fault suffix work
-    /// stay directly comparable.
+    /// Cycles the shared golden cores replayed — the per-range prefix work
+    /// paid *once* instead of per fault.  Kept separate from
+    /// [`ScheduleStats::suffix_cycles`], which counts faulty-core cycles
+    /// only.
     pub golden_replay_cycles: u64,
-    /// Bytes the batched driver's copy-on-write forks actually copied at
-    /// fork time.  Structural sharing makes [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from)
+    /// Bytes the copy-on-write forks actually copied at fork time.  Structural sharing makes [`Cpu::fork_from`](merlin_cpu::Cpu::fork_from)
     /// O(metadata): handles are adopted instead of bytes moved, so this
     /// stays tiny regardless of how much state the golden core touched.
     pub fork_bytes_copied: u64,
-    /// Bytes an eager fork — the pre-CoW touched-entry copy — would have
-    /// moved for the same forks: the baseline `fork_bytes_copied` is
-    /// measured against.
-    pub fork_bytes_eager: u64,
     /// Bytes whose content the forks adopted by O(1) handle sharing
     /// instead of copying.
     pub fork_bytes_shared: u64,
@@ -176,68 +157,44 @@ pub struct ScheduleStats {
     /// avoided up front — only state a fork actually touches is ever paid
     /// for.
     pub cow_breaks: u64,
-    /// Merge-prefilter fingerprint matches that advanced to the exact
-    /// state comparison; [`ScheduleStats::forks_merged`] counts how many
-    /// were confirmed.  Identical values mean the cheap fingerprint never
-    /// sent a non-equivalent pair to the expensive comparison.
-    pub merge_prefilter_hits: u64,
 }
 
-/// Per-worker tallies, merged into [`ScheduleStats`] after the join.  Also
-/// used as the per-range-attempt delta, so a panicked attempt's partial
-/// tallies are discarded wholesale with its partial outcomes.
-#[derive(Default)]
-struct WorkerStats {
-    restores: u64,
-    full_restores: u64,
-    incremental_restores: u64,
-    restored_bytes: u64,
-    restored_breakdown: RestoredBytes,
-    range_steals: u64,
-    suffix_cycles: u64,
-    early_exits: u64,
-    asserts: u64,
-    poisoned_restores: u64,
-    range_retries: u64,
-    skipped_sites: u64,
-    static_prunes: u64,
-    batched_ranges: u64,
-    forks_spawned: u64,
-    forks_retired: u64,
-    forks_merged: u64,
-    golden_replay_cycles: u64,
-    fork_bytes_copied: u64,
-    fork_bytes_eager: u64,
-    fork_bytes_shared: u64,
-    cow_breaks: u64,
-    merge_prefilter_hits: u64,
+impl ScheduleStats {
+    /// Accounts one checkpoint restore, golden-core or fork.
+    pub(crate) fn count_restore(&mut self, r: RestoreStats) {
+        self.restores += 1;
+        self.full_restores += u64::from(!r.incremental);
+        self.incremental_restores += u64::from(r.incremental);
+        self.poisoned_restores += u64::from(r.from_quarantine);
+        self.restored_bytes += r.bytes.total();
+        self.restored_breakdown += r.bytes;
+    }
 }
 
-impl WorkerStats {
-    fn merge(&mut self, other: WorkerStats) {
-        self.restores += other.restores;
-        self.full_restores += other.full_restores;
-        self.incremental_restores += other.incremental_restores;
-        self.restored_bytes += other.restored_bytes;
-        self.restored_breakdown += other.restored_breakdown;
-        self.range_steals += other.range_steals;
-        self.suffix_cycles += other.suffix_cycles;
-        self.early_exits += other.early_exits;
-        self.asserts += other.asserts;
-        self.poisoned_restores += other.poisoned_restores;
-        self.range_retries += other.range_retries;
-        self.skipped_sites += other.skipped_sites;
-        self.static_prunes += other.static_prunes;
-        self.batched_ranges += other.batched_ranges;
-        self.forks_spawned += other.forks_spawned;
-        self.forks_retired += other.forks_retired;
-        self.forks_merged += other.forks_merged;
-        self.golden_replay_cycles += other.golden_replay_cycles;
-        self.fork_bytes_copied += other.fork_bytes_copied;
-        self.fork_bytes_eager += other.fork_bytes_eager;
-        self.fork_bytes_shared += other.fork_bytes_shared;
-        self.cow_breaks += other.cow_breaks;
-        self.merge_prefilter_hits += other.merge_prefilter_hits;
+/// Field-by-field sum: folds per-range tallies into a worker's, workers'
+/// into the campaign's, and campaigns' into a study total.
+impl std::ops::AddAssign for ScheduleStats {
+    fn add_assign(&mut self, o: Self) {
+        self.ranges += o.ranges;
+        self.restores += o.restores;
+        self.range_steals += o.range_steals;
+        self.range_splits += o.range_splits;
+        self.full_restores += o.full_restores;
+        self.incremental_restores += o.incremental_restores;
+        self.restored_bytes += o.restored_bytes;
+        self.restored_breakdown += o.restored_breakdown;
+        self.suffix_cycles += o.suffix_cycles;
+        self.asserts += o.asserts;
+        self.poisoned_restores += o.poisoned_restores;
+        self.range_retries += o.range_retries;
+        self.skipped_sites += o.skipped_sites;
+        self.static_prunes += o.static_prunes;
+        self.forks_spawned += o.forks_spawned;
+        self.forks_retired += o.forks_retired;
+        self.golden_replay_cycles += o.golden_replay_cycles;
+        self.fork_bytes_copied += o.fork_bytes_copied;
+        self.fork_bytes_shared += o.fork_bytes_shared;
+        self.cow_breaks += o.cow_breaks;
     }
 }
 
@@ -268,10 +225,6 @@ pub struct CampaignScheduler<'a> {
     /// one: register-file faults into statically-dead entries are then
     /// classified Masked without touching a core.
     analysis: Option<&'a ProgramAnalysis>,
-    /// How each range's faults are simulated: per-fault restore (the
-    /// oracle) or the fork-on-divergence batched driver (see
-    /// [`crate::batch`](crate::BatchingPolicy)).
-    batching: BatchingPolicy,
 }
 
 impl<'a> CampaignScheduler<'a> {
@@ -397,7 +350,6 @@ impl<'a> CampaignScheduler<'a> {
             buckets,
             splits,
             analysis: None,
-            batching: BatchingPolicy::default(),
         }
     }
 
@@ -412,18 +364,6 @@ impl<'a> CampaignScheduler<'a> {
     /// [`statically dead`]: ProgramAnalysis::rf_entry_statically_dead
     pub fn with_static_analysis(mut self, analysis: &'a ProgramAnalysis) -> Self {
         self.analysis = Some(analysis);
-        self
-    }
-
-    /// Selects how each range's faults are simulated.
-    /// [`BatchingPolicy::Batched`] drives one golden core per checkpoint
-    /// range and forks faulty cores at their injection cycles instead of
-    /// restoring and replaying the fault-free prefix per fault; outcomes
-    /// are byte-identical to [`BatchingPolicy::PerFault`] at any thread
-    /// count (only [`ScheduleStats`] differs).  Ignored on the
-    /// from-scratch path, which has no checkpoint store to batch over.
-    pub fn with_batching(mut self, batching: BatchingPolicy) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -444,199 +384,71 @@ impl<'a> CampaignScheduler<'a> {
         self.ckpts.is_some()
     }
 
-    /// Executes one range on the per-fault path: restore, replay to the
-    /// injection cycle and simulate the suffix, once per fault.  This is
-    /// both the [`BatchingPolicy::PerFault`] engine and the fallback a
-    /// batched range aborts to.
-    fn run_bucket_per_fault(
+    /// Executes one range: statically-pruned and absent-site faults are
+    /// classified Masked without a core, the rest run through the
+    /// fork-on-divergence driver (or from cycle 0 without a checkpoint
+    /// store).  Outcomes go to `out`, tallies to `stats`.
+    fn run_bucket(
         &self,
         bucket: &[usize],
-        cpu: &mut Option<Cpu>,
-        diffs: &mut DiffCache,
-        local: &mut Vec<(usize, FaultOutcome)>,
-        delta: &mut WorkerStats,
-    ) {
-        for &idx in bucket {
-            let fault = self.faults[idx];
-            // Static prune: a fault into a provably-dead register-file
-            // entry is Masked by construction — skip the restore and the
-            // suffix entirely.
-            if let Some(analysis) = self.analysis {
-                if fault.structure == Structure::RegisterFile
-                    && analysis.rf_entry_statically_dead(fault.entry)
-                {
-                    delta.static_prunes += 1;
-                    local.push((
-                        idx,
-                        FaultOutcome {
-                            fault,
-                            effect: FaultEffect::Masked,
-                        },
-                    ));
-                    continue;
-                }
-            }
-            let run = match &self.ckpts {
-                Some(ckpts) => {
-                    // One core per worker, restored per fault.
-                    if cpu.is_none() {
-                        *cpu = Cpu::with_predecoded(
-                            Arc::clone(&self.program),
-                            Arc::clone(&self.decoded),
-                            (*self.cfg).clone(),
-                        )
-                        .ok();
-                    }
-                    match cpu.as_mut() {
-                        Some(core) => run_fault_from_checkpoint(
-                            core,
-                            self.golden,
-                            ckpts,
-                            &self.boundaries,
-                            diffs,
-                            fault,
-                        ),
-                        None => {
-                            delta.asserts += 1;
-                            local.push((
-                                idx,
-                                FaultOutcome {
-                                    fault,
-                                    effect: FaultEffect::Assert,
-                                },
-                            ));
-                            continue;
-                        }
-                    }
-                }
-                None => run_single_fault_shared(
-                    &self.program,
-                    &self.decoded,
-                    &self.cfg,
-                    self.golden,
-                    fault,
-                ),
-            };
-            delta.restores += u64::from(run.restored);
-            delta.full_restores += u64::from(run.restored && !run.incremental);
-            delta.incremental_restores += u64::from(run.restored && run.incremental);
-            delta.restored_bytes += run.bytes.total();
-            delta.restored_breakdown += run.bytes;
-            delta.early_exits += u64::from(run.early_exit);
-            delta.suffix_cycles += run.suffix_cycles;
-            delta.asserts += u64::from(run.effect == FaultEffect::Assert);
-            delta.poisoned_restores += u64::from(run.from_quarantine);
-            delta.skipped_sites += u64::from(run.skipped_site);
-            local.push((
-                idx,
-                FaultOutcome {
-                    fault,
-                    effect: run.effect,
-                },
-            ));
-        }
-        // Handle-sharing restores defer copies to first write; harvest the
-        // break tally so per-fault campaigns report their CoW traffic too.
-        if let Some(core) = cpu.as_mut() {
-            delta.cow_breaks += core.take_cow_breaks();
-        }
-    }
-
-    /// Executes one range through the fork-on-divergence batched driver
-    /// (see [`crate::batch`](crate::BatchingPolicy)).  Statically-pruned
-    /// and absent-site faults are resolved here without a core, exactly
-    /// as on the per-fault path; the rest are handed to the driver as
-    /// the cycle-sorted simulation list.  Returns `None` when the driver
-    /// aborted (a panic or an unconstructible core), in which case
-    /// nothing is committed and the caller re-runs the whole range per
-    /// fault.
-    fn run_bucket_batched(
-        &self,
-        bucket: &[usize],
-        ckpts: &GoldenCheckpoints,
         pool: &mut ForkPool,
         diffs: &mut DiffCache,
-    ) -> Option<(Vec<(usize, FaultOutcome)>, WorkerStats)> {
-        let mut local: Vec<(usize, FaultOutcome)> = Vec::with_capacity(bucket.len());
-        let mut delta = WorkerStats::default();
+        out: &mut Vec<(usize, FaultOutcome)>,
+        stats: &mut ScheduleStats,
+    ) {
         let mut sim: Vec<usize> = Vec::with_capacity(bucket.len());
         for &idx in bucket {
             let fault = self.faults[idx];
-            if let Some(analysis) = self.analysis {
-                if fault.structure == Structure::RegisterFile
-                    && analysis.rf_entry_statically_dead(fault.entry)
-                {
-                    delta.static_prunes += 1;
-                    local.push((
-                        idx,
-                        FaultOutcome {
-                            fault,
-                            effect: FaultEffect::Masked,
-                        },
-                    ));
-                    continue;
-                }
-            }
-            if fault.entry >= self.cfg.structure_entries(fault.structure) {
-                // Same semantics as the per-fault engine's site check: an
-                // absent fault site cannot affect this configuration.
-                delta.skipped_sites += 1;
-                local.push((
-                    idx,
-                    FaultOutcome {
-                        fault,
-                        effect: FaultEffect::Masked,
-                    },
-                ));
+            // Static prune: a fault into a provably-dead register-file
+            // entry is Masked by construction.
+            if self.analysis.is_some_and(|a| {
+                fault.structure == Structure::RegisterFile
+                    && a.rf_entry_statically_dead(fault.entry)
+            }) {
+                stats.static_prunes += 1;
+            } else if fault.entry >= self.cfg.structure_entries(fault.structure) {
+                // An absent fault site cannot affect this configuration.
+                stats.skipped_sites += 1;
+            } else {
+                sim.push(idx);
                 continue;
             }
-            sim.push(idx);
-        }
-        let (runs, bstats) = run_batched_range(
-            pool,
-            self.golden,
-            ckpts,
-            &self.boundaries,
-            diffs,
-            self.faults,
-            &sim,
-        )?;
-        delta.batched_ranges += 1;
-        delta.forks_spawned += bstats.forks_spawned;
-        delta.forks_retired += bstats.forks_retired;
-        delta.forks_merged += bstats.forks_merged;
-        delta.golden_replay_cycles += bstats.golden_replay_cycles;
-        delta.fork_bytes_copied += bstats.fork_bytes.copied.total();
-        delta.fork_bytes_eager += bstats.fork_bytes.eager.total();
-        delta.fork_bytes_shared += bstats.fork_bytes.shared.total();
-        delta.cow_breaks += bstats.cow_breaks;
-        delta.merge_prefilter_hits += bstats.merge_prefilter_hits;
-        delta.restores += bstats.golden_restores;
-        delta.full_restores += bstats.golden_full_restores;
-        delta.incremental_restores += bstats.golden_incremental_restores;
-        delta.poisoned_restores += bstats.golden_poisoned_restores;
-        delta.restored_bytes += bstats.golden_restored_bytes.total();
-        delta.restored_breakdown += bstats.golden_restored_bytes;
-        for (idx, run) in runs {
-            delta.restores += u64::from(run.restored);
-            delta.full_restores += u64::from(run.restored && !run.incremental);
-            delta.incremental_restores += u64::from(run.restored && run.incremental);
-            delta.restored_bytes += run.bytes.total();
-            delta.restored_breakdown += run.bytes;
-            delta.early_exits += u64::from(run.early_exit);
-            delta.suffix_cycles += run.suffix_cycles;
-            delta.asserts += u64::from(run.effect == FaultEffect::Assert);
-            delta.poisoned_restores += u64::from(run.from_quarantine);
-            delta.skipped_sites += u64::from(run.skipped_site);
-            local.push((
+            out.push((
                 idx,
                 FaultOutcome {
-                    fault: self.faults[idx],
-                    effect: run.effect,
+                    fault,
+                    effect: FaultEffect::Masked,
                 },
             ));
         }
-        Some((local, delta))
+        match &self.ckpts {
+            Some(ckpts) => run_range(
+                pool,
+                self.golden,
+                ckpts,
+                &self.boundaries,
+                diffs,
+                self.faults,
+                &sim,
+                stats,
+                out,
+            ),
+            None => {
+                for idx in sim {
+                    let fault = self.faults[idx];
+                    let (effect, cycles) = run_single_fault_shared(
+                        &self.program,
+                        &self.decoded,
+                        &self.cfg,
+                        self.golden,
+                        fault,
+                    );
+                    stats.suffix_cycles += cycles;
+                    stats.asserts += u64::from(effect == FaultEffect::Assert);
+                    out.push((idx, FaultOutcome { fault, effect }));
+                }
+            }
+        }
     }
 
     /// Runs the campaign to completion and aggregates the result.
@@ -647,11 +459,12 @@ impl<'a> CampaignScheduler<'a> {
     ///
     /// # Failure containment
     ///
-    /// A panic during one fault's simulation is caught inside the engine,
-    /// classified [`Assert`](crate::FaultEffect::Assert), and quarantines
-    /// the worker's core (next restore is a forced full restore).  A panic
-    /// that tears through a worker's whole range attempt — outside the
-    /// per-fault catch — discards that attempt's partial outcomes, returns
+    /// A panic during one fork's spawn or simulation is caught inside the
+    /// engine, classified [`Assert`](crate::FaultEffect::Assert), and
+    /// quarantines the fork's core (its next restore is a forced full
+    /// restore).  A panic that tears through a worker's whole range
+    /// attempt — the golden core's restore or replay, or anything outside
+    /// the per-fork catch — discards that attempt's partial outcomes, returns
     /// the range to a retry pool and re-runs it once on a fresh core; a
     /// second range-level failure classifies every fault in the range
     /// deterministically as `Assert`.  Both classifications are pure
@@ -673,10 +486,8 @@ impl<'a> CampaignScheduler<'a> {
             Ok(mut g) => g.push(b),
             Err(poisoned) => poisoned.into_inner().push(b),
         };
-        let run_worker = |collected: &mut Vec<(usize, FaultOutcome)>, stats: &mut WorkerStats| {
-            let mut cpu: Option<Cpu> = None;
-            // Core pool for the batched driver (golden replay core + one
-            // per live fork); empty and unused under PerFault.
+        let run_worker = |collected: &mut Vec<(usize, FaultOutcome)>, stats: &mut ScheduleStats| {
+            // The golden replay core and the current fork.
             let mut pool = ForkPool::new(&self.program, &self.decoded, &self.cfg);
             // Golden-to-golden diffs never depend on the core's state, so the
             // cache survives retries and core replacement.
@@ -708,9 +519,8 @@ impl<'a> CampaignScheduler<'a> {
                         stats.range_steals += 1;
                     }
                 } else {
-                    // The issue under retry may have been the core itself:
+                    // The issue under retry may have been a core itself:
                     // retries always start from fresh cores.
-                    cpu = None;
                     pool.clear();
                 }
                 let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -719,55 +529,19 @@ impl<'a> CampaignScheduler<'a> {
                     // discards it atomically and the retry re-runs the whole
                     // range.
                     let mut local: Vec<(usize, FaultOutcome)> = Vec::with_capacity(bucket.len());
-                    let mut delta = WorkerStats::default();
-                    let mut done = false;
-                    let batched = self.batching == BatchingPolicy::Batched && self.ckpts.is_some();
-                    if batched {
-                        let ckpts = self.ckpts.as_ref().expect("checked above");
-                        match self.run_bucket_batched(bucket, ckpts, &mut pool, &mut diffs) {
-                            Some((l, d)) => {
-                                local = l;
-                                delta = d;
-                                done = true;
-                            }
-                            // An aborted batched attempt committed nothing;
-                            // the whole range re-runs below on the per-fault
-                            // path, counted like a range retry.
-                            None => delta.range_retries += 1,
-                        }
-                    }
-                    if !done {
-                        if batched {
-                            // The fallback reuses pool cores — the driver
-                            // parks a quarantined core on top of the pool so
-                            // its forced full restore happens here instead
-                            // of the core rotting unobserved.
-                            let mut slot = pool.take();
-                            self.run_bucket_per_fault(
-                                bucket, &mut slot, &mut diffs, &mut local, &mut delta,
-                            );
-                            if let Some(core) = slot {
-                                pool.put(core);
-                            }
-                            delta.cow_breaks += pool.take_cow_breaks();
-                        } else {
-                            self.run_bucket_per_fault(
-                                bucket, &mut cpu, &mut diffs, &mut local, &mut delta,
-                            );
-                        }
-                    }
+                    let mut delta = ScheduleStats::default();
+                    self.run_bucket(bucket, &mut pool, &mut diffs, &mut local, &mut delta);
                     (local, delta)
                 }));
                 match attempt {
                     Ok((local, delta)) => {
                         collected.extend(local);
-                        stats.merge(delta);
+                        *stats += delta;
                     }
                     Err(_) => {
-                        // The panic unwound outside the per-fault catch, so
+                        // The panic unwound outside the per-fork catch, so
                         // the worker's cores are in an unknown state: drop
-                        // them, pool included.
-                        cpu = None;
+                        // them.
                         pool.clear();
                         if is_retry {
                             // Second failure: the range is deterministically
@@ -792,10 +566,10 @@ impl<'a> CampaignScheduler<'a> {
             }
         };
 
-        let mut per_thread: Vec<(Vec<(usize, FaultOutcome)>, WorkerStats)> = Vec::new();
+        let mut per_thread: Vec<(Vec<(usize, FaultOutcome)>, ScheduleStats)> = Vec::new();
         if threads == 1 {
             let mut collected = Vec::with_capacity(self.faults.len());
-            let mut stats = WorkerStats::default();
+            let mut stats = ScheduleStats::default();
             run_worker(&mut collected, &mut stats);
             per_thread.push((collected, stats));
         } else {
@@ -804,7 +578,7 @@ impl<'a> CampaignScheduler<'a> {
                 for _ in 0..threads {
                     handles.push(scope.spawn(|| {
                         let mut collected = Vec::new();
-                        let mut stats = WorkerStats::default();
+                        let mut stats = ScheduleStats::default();
                         run_worker(&mut collected, &mut stats);
                         (collected, stats)
                     }));
@@ -827,31 +601,8 @@ impl<'a> CampaignScheduler<'a> {
             range_splits: self.splits,
             ..ScheduleStats::default()
         };
-        let mut early_exits = 0u64;
         for (collected, stats) in per_thread {
-            schedule.restores += stats.restores;
-            schedule.full_restores += stats.full_restores;
-            schedule.incremental_restores += stats.incremental_restores;
-            schedule.restored_bytes += stats.restored_bytes;
-            schedule.restored_breakdown += stats.restored_breakdown;
-            schedule.range_steals += stats.range_steals;
-            schedule.suffix_cycles += stats.suffix_cycles;
-            schedule.asserts += stats.asserts;
-            schedule.poisoned_restores += stats.poisoned_restores;
-            schedule.range_retries += stats.range_retries;
-            schedule.skipped_sites += stats.skipped_sites;
-            schedule.static_prunes += stats.static_prunes;
-            schedule.batched_ranges += stats.batched_ranges;
-            schedule.forks_spawned += stats.forks_spawned;
-            schedule.forks_retired += stats.forks_retired;
-            schedule.forks_merged += stats.forks_merged;
-            schedule.golden_replay_cycles += stats.golden_replay_cycles;
-            schedule.fork_bytes_copied += stats.fork_bytes_copied;
-            schedule.fork_bytes_eager += stats.fork_bytes_eager;
-            schedule.fork_bytes_shared += stats.fork_bytes_shared;
-            schedule.cow_breaks += stats.cow_breaks;
-            schedule.merge_prefilter_hits += stats.merge_prefilter_hits;
-            early_exits += stats.early_exits;
+            schedule += stats;
             for (idx, outcome) in collected {
                 outcomes[idx] = Some(outcome);
             }
@@ -878,7 +629,7 @@ impl<'a> CampaignScheduler<'a> {
             outcomes,
             classification,
             runs_executed,
-            early_exits,
+            early_exits: schedule.forks_retired,
             schedule,
         }
     }
@@ -887,9 +638,7 @@ impl<'a> CampaignScheduler<'a> {
 /// Clone-free campaign entry used by the session layer: schedule and run in
 /// one call.  `analysis` enables the static register-file prune; the
 /// from-scratch path passes `None` so it stays the pure differential
-/// baseline the soundness tests compare against.  `batching` selects the
-/// per-range execution engine (per-fault restore vs fork-on-divergence
-/// batching); it never changes outcomes.
+/// baseline the soundness tests compare against.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn campaign_shared(
     program: &Arc<Program>,
@@ -900,7 +649,6 @@ pub(crate) fn campaign_shared(
     faults: &[FaultSpec],
     threads: usize,
     analysis: Option<&ProgramAnalysis>,
-    batching: BatchingPolicy,
 ) -> CampaignResult {
     let mut sched = CampaignScheduler::with_predecoded(
         program,
@@ -910,8 +658,7 @@ pub(crate) fn campaign_shared(
         use_checkpoints,
         faults,
         threads,
-    )
-    .with_batching(batching);
+    );
     if let Some(analysis) = analysis {
         sched = sched.with_static_analysis(analysis);
     }
@@ -926,7 +673,7 @@ mod tests {
     };
     use crate::classify::FaultEffect;
     use crate::sampling::generate_fault_list;
-    use merlin_cpu::{CheckpointPolicy, NullProbe, SpacingStrategy, Structure};
+    use merlin_cpu::{CheckpointPolicy, Cpu, NullProbe, SpacingStrategy, Structure};
     use merlin_isa::{reg, AluOp, Cond, MemRef, ProgramBuilder};
 
     fn golden_plain(
@@ -966,7 +713,6 @@ mod tests {
             faults,
             threads,
             None,
-            BatchingPolicy::PerFault,
         )
     }
 
@@ -986,7 +732,6 @@ mod tests {
             faults,
             threads,
             None,
-            BatchingPolicy::PerFault,
         )
     }
 
@@ -1414,14 +1159,17 @@ mod tests {
             .run();
         assert_eq!(pruned.schedule.static_prunes, 1);
         assert_eq!(pruned.outcomes[0].effect, FaultEffect::Masked);
-        // Only the live fault paid for a restore.
-        assert_eq!(pruned.schedule.restores, 1);
+        // Only the live fault paid for a restore: the range's golden core
+        // plus its one fork.
+        assert_eq!(pruned.schedule.restores, 2);
+        assert_eq!(pruned.schedule.forks_spawned, 1);
 
         // Soundness, differentially: the unpruned run — which fully
         // simulates the dead-entry fault — produces byte-identical outcomes.
         let plain = campaign(&program, &cfg, &golden, &faults, 1);
         assert_eq!(plain.schedule.static_prunes, 0);
-        assert_eq!(plain.schedule.restores, 2);
+        assert_eq!(plain.schedule.restores, 3);
+        assert_eq!(plain.schedule.forks_spawned, 2);
         assert_eq!(plain.outcomes, pruned.outcomes);
     }
 

@@ -41,7 +41,6 @@
 //! assert_eq!(session.golden_builds(), 1);
 //! ```
 
-use crate::batch::BatchingPolicy;
 use crate::campaign::{
     build_golden_checkpointed, CampaignError, CampaignResult, FaultInjector, GoldenCheckpoints,
     GoldenRun,
@@ -70,7 +69,6 @@ pub struct SessionBuilder {
     policy: CheckpointPolicy,
     max_cycles: u64,
     threads: usize,
-    batching: BatchingPolicy,
     persist_path: Option<PathBuf>,
     seeded_golden: Option<GoldenRun>,
     /// Counter receiving corrupt-artifact rejections (see
@@ -92,7 +90,6 @@ impl SessionBuilder {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            batching: BatchingPolicy::default(),
             persist_path: None,
             seeded_golden: None,
             artifact_rejects: Arc::new(AtomicU64::new(0)),
@@ -117,15 +114,6 @@ impl SessionBuilder {
     /// Sets the worker-thread count for the session's campaigns.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the per-range campaign engine: per-fault restore (the
-    /// default, and the oracle) or fork-on-divergence batching.  Outcomes
-    /// are byte-identical either way, so — like [`Self::threads`] — this is
-    /// execution-only and does not participate in the fingerprint.
-    pub fn batching(mut self, batching: BatchingPolicy) -> Self {
-        self.batching = batching;
         self
     }
 
@@ -227,7 +215,6 @@ impl SessionBuilder {
             policy: self.policy,
             max_cycles: self.max_cycles,
             threads: self.threads,
-            batching: self.batching,
             persist_path: self.persist_path,
             fingerprint,
             golden,
@@ -255,7 +242,6 @@ pub struct Session {
     policy: CheckpointPolicy,
     max_cycles: u64,
     threads: usize,
-    batching: BatchingPolicy,
     persist_path: Option<PathBuf>,
     fingerprint: u64,
     golden: OnceLock<Result<GoldenRun, CampaignError>>,
@@ -311,11 +297,6 @@ impl Session {
     /// Worker threads used by this session's campaigns.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The per-range campaign engine this session's campaigns run under.
-    pub fn batching(&self) -> BatchingPolicy {
-        self.batching
     }
 
     /// The context fingerprint (see [`SessionBuilder::fingerprint`]).
@@ -426,8 +407,8 @@ impl Session {
     }
 
     /// Runs an injection campaign over `faults` with this session's thread
-    /// count, restoring golden checkpoints per fault when the policy enables
-    /// them.  Register-file faults into statically-dead entries are
+    /// count, forking each fault from a golden replay of its checkpoint
+    /// range when the policy enables checkpoints.  Register-file faults into statically-dead entries are
     /// classified Masked without simulation and accounted as
     /// [`ScheduleStats::static_prunes`](crate::ScheduleStats::static_prunes).
     ///
@@ -447,7 +428,6 @@ impl Session {
             faults,
             self.threads,
             Some(&self.analysis),
-            self.batching,
         ))
     }
 
@@ -476,7 +456,6 @@ impl Session {
             faults,
             self.threads,
             None,
-            BatchingPolicy::PerFault,
         ))
     }
 

@@ -1,23 +1,25 @@
-//! Property: fork-on-divergence batching is *outcome-invisible*.
+//! Property: the checkpointed engine is *outcome-invisible*.
 //!
-//! The batched driver replays each checkpoint range's golden prefix once
-//! and forks faulty cores from the live golden state, so it must prove it
+//! Campaigns replay each checkpoint range's golden prefix once and fork
+//! faulty cores from the live golden state, so they must prove they
 //! changed only the work, never the answer:
 //!
-//! * a batched campaign is byte-identical to the per-fault oracle AND to a
-//!   full from-scratch simulation at 1/2/4/8 worker threads, for random
-//!   fault lists (proptest) and for a pinned list with telemetry checks;
+//! * a checkpointed campaign is byte-identical to a full from-scratch
+//!   simulation AND to a restore-per-fault [`FaultInjector`] run over the
+//!   same faults, at 1/2/4/8 worker threads, for random fault lists
+//!   (proptest) and for a pinned list with telemetry checks;
 //! * every probe-retired fork (counted by `forks_retired`, classified
 //!   Masked without finishing its run) really is Masked under full
 //!   simulation — the byte-identity against the from-scratch campaign,
 //!   which fully simulates every fault with no convergence probes, pins
 //!   exactly that;
-//! * merged forks (fault equivalence) adopt outcomes that match what their
-//!   faults classify as when simulated individually — forced here with
-//!   duplicated fault specs, which collide at spawn and must merge.
+//! * duplicated fault specs, forked at the same cycle from the same golden
+//!   state, classify exactly as their originals.
+//!
+//! [`FaultInjector`]: merlin_inject::FaultInjector
 
 use merlin_cpu::{CheckpointPolicy, CpuConfig};
-use merlin_inject::{BatchingPolicy, FaultSpec, Session, Structure};
+use merlin_inject::{FaultOutcome, FaultSpec, Session, Structure};
 use merlin_isa::{reg, AluOp, Cond, MemRef, Program, ProgramBuilder};
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -38,7 +40,7 @@ fn tiny_program() -> Program {
     b.build().unwrap()
 }
 
-fn session(threads: usize, batching: BatchingPolicy) -> Session {
+fn session(threads: usize) -> Session {
     Session::builder(&tiny_program(), &CpuConfig::default().with_phys_regs(64))
         .checkpoints(CheckpointPolicy {
             enabled: true,
@@ -49,132 +51,123 @@ fn session(threads: usize, batching: BatchingPolicy) -> Session {
         })
         .max_cycles(1_000_000)
         .threads(threads)
-        .batching(batching)
         .build()
         .unwrap()
 }
 
-struct Shared {
-    /// Batched sessions at 1, 2, 4 and 8 worker threads.
-    batched: Vec<Session>,
-    /// The per-fault oracle (single-threaded; outcomes are thread-count
-    /// invariant anyway, and the suite pins that separately).
-    per_fault: Session,
+/// Sessions at 1, 2, 4 and 8 worker threads.
+fn sessions() -> &'static [Session] {
+    static SESSIONS: OnceLock<Vec<Session>> = OnceLock::new();
+    SESSIONS.get_or_init(|| [1usize, 2, 4, 8].into_iter().map(session).collect())
 }
 
-fn shared() -> &'static Shared {
-    static SHARED: OnceLock<Shared> = OnceLock::new();
-    SHARED.get_or_init(|| Shared {
-        batched: [1usize, 2, 4, 8]
-            .into_iter()
-            .map(|t| session(t, BatchingPolicy::Batched))
-            .collect(),
-        per_fault: session(1, BatchingPolicy::PerFault),
-    })
+/// The reference outcomes: a from-scratch campaign, checked against a
+/// restore-per-fault injector run over the same faults.  Also returns the
+/// cycles the injector simulated per fault (restore point to end).
+fn oracle(s: &Session, faults: &[FaultSpec]) -> (Vec<FaultOutcome>, Vec<u64>) {
+    let scratch = s.campaign_from_scratch(faults).unwrap();
+    assert_eq!(scratch.schedule.restores, 0);
+    assert_eq!(scratch.schedule.forks_spawned, 0);
+    assert_eq!(scratch.schedule.golden_replay_cycles, 0);
+    assert_eq!(scratch.early_exits, 0);
+    let mut injector = s.injector().unwrap();
+    let mut cycles = Vec::with_capacity(faults.len());
+    for (o, &fault) in scratch.outcomes.iter().zip(faults) {
+        let (effect, c) = injector.run_with_cycles(fault);
+        assert_eq!(
+            o.effect, effect,
+            "injector disagrees with from-scratch on {fault:?}"
+        );
+        cycles.push(c);
+    }
+    (scratch.outcomes, cycles)
 }
 
 #[test]
-fn batched_campaign_matches_the_per_fault_oracle_with_live_telemetry() {
-    let s = shared();
-    let faults = s
-        .per_fault
+fn checkpointed_campaign_matches_from_scratch_and_the_injector_with_live_telemetry() {
+    let sessions = sessions();
+    let faults = sessions[0]
         .fault_list(Structure::RegisterFile, 80, 42)
         .unwrap();
-    let oracle = s.per_fault.campaign(&faults).unwrap();
-    // The per-fault engine never batches, forks or replays.
-    assert_eq!(oracle.schedule.batched_ranges, 0);
-    assert_eq!(oracle.schedule.forks_spawned, 0);
-    assert_eq!(oracle.schedule.forks_retired, 0);
-    assert_eq!(oracle.schedule.forks_merged, 0);
-    assert_eq!(oracle.schedule.golden_replay_cycles, 0);
-    let scratch = s.per_fault.campaign_from_scratch(&faults).unwrap();
-    assert_eq!(oracle.outcomes, scratch.outcomes);
+    let (expected, injector_cycles) = oracle(&sessions[0], &faults);
+    // Restore-per-fault work over the faults a campaign actually simulates
+    // (statically-dead entries are pruned before any core is touched).
+    let analysis = sessions[0].analysis();
+    let per_fault_cycles: u64 = faults
+        .iter()
+        .zip(&injector_cycles)
+        .filter(|(f, _)| !analysis.rf_entry_statically_dead(f.entry))
+        .map(|(_, &c)| c)
+        .sum();
 
-    for session in &s.batched {
+    for session in sessions {
         let t = session.threads();
-        let batched = session.campaign(&faults).unwrap();
-        assert_eq!(batched.outcomes, oracle.outcomes, "x{t} threads");
-        assert_eq!(batched.early_exits, oracle.early_exits, "x{t} threads");
-        // The batched engine actually ran: every range went through the
-        // driver and every simulated fault lived as a fork.
-        assert!(batched.schedule.batched_ranges > 0, "x{t} threads");
-        assert!(batched.schedule.forks_spawned > 0, "x{t} threads");
-        assert!(
-            batched.schedule.forks_spawned
-                >= batched.schedule.forks_retired + batched.schedule.forks_merged,
+        let result = session.campaign(&faults).unwrap();
+        let sched = result.schedule;
+        assert_eq!(result.outcomes, expected, "x{t} threads");
+        // The driver actually ran: every simulated fault lived as a fork.
+        assert_eq!(
+            sched.forks_spawned + sched.static_prunes + sched.skipped_sites,
+            faults.len() as u64,
             "x{t} threads"
         );
-        // Every probe retirement produces at least its own early-exit
-        // outcome (followers of a probe-retired representative add more).
-        assert!(
-            batched.schedule.forks_retired <= batched.early_exits,
-            "x{t} threads"
-        );
+        assert!(sched.forks_spawned > 0, "x{t} threads");
+        assert!(sched.forks_retired <= sched.forks_spawned, "x{t} threads");
+        assert_eq!(sched.forks_retired, result.early_exits, "x{t} threads");
         // The whole point of the inversion: the golden prefix is replayed
-        // once per range, and the faulty cores simulate strictly fewer
-        // cycles than the per-fault engine paid in total.
-        assert!(batched.schedule.golden_replay_cycles > 0, "x{t} threads");
+        // once per range, and the cores simulate strictly fewer cycles than
+        // restoring and replaying per fault would.
+        assert!(sched.golden_replay_cycles > 0, "x{t} threads");
         assert!(
-            batched.schedule.suffix_cycles + batched.schedule.golden_replay_cycles
-                < oracle.schedule.suffix_cycles,
-            "x{t} threads: batching must reduce simulated cycles \
-             (batched {} + golden replay {} vs per-fault {})",
-            batched.schedule.suffix_cycles,
-            batched.schedule.golden_replay_cycles,
-            oracle.schedule.suffix_cycles
+            sched.suffix_cycles + sched.golden_replay_cycles < per_fault_cycles,
+            "x{t} threads: forking must reduce simulated cycles \
+             (forks {} + golden replay {} vs per-fault {per_fault_cycles})",
+            sched.suffix_cycles,
+            sched.golden_replay_cycles,
         );
     }
 }
 
 #[test]
-fn duplicated_faults_collide_at_spawn_and_merge_exactly() {
-    let s = shared();
-    let base = s
-        .per_fault
+fn duplicated_faults_classify_like_their_originals() {
+    let sessions = sessions();
+    let base = sessions[0]
         .fault_list(Structure::RegisterFile, 40, 7)
         .unwrap();
-    // Every fault twice: the twins spawn at the same cycle with the same
-    // injected corruption, so the merge pass must fold each pair.
+    // Every fault twice: the twins spawn at the same cycle from the same
+    // golden state with the same injected corruption.
     let doubled: Vec<FaultSpec> = base.iter().flat_map(|&f| [f, f]).collect();
-    let oracle = s.per_fault.campaign(&doubled).unwrap();
-    for session in &s.batched {
-        let t = session.threads();
+    let (expected, _) = oracle(&sessions[0], &doubled);
+    for session in sessions {
         let result = session.campaign(&doubled).unwrap();
-        assert_eq!(result.outcomes, oracle.outcomes, "x{t} threads");
-        assert!(
-            result.schedule.forks_merged > 0,
-            "x{t} threads: duplicated faults must trigger fault-equivalence merges"
-        );
+        assert_eq!(result.outcomes, expected, "x{} threads", session.threads());
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random fault lists: batched == per-fault == full simulation, at
+    /// Random fault lists: checkpointed == from-scratch == injector, at
     /// every thread count.  The from-scratch leg fully simulates every
     /// fault with no convergence probes, so this simultaneously proves
     /// that each probe-retired fork (`forks_retired`) really classifies
     /// Masked under full simulation.
     #[test]
-    fn batched_equals_per_fault_and_full_simulation(
+    fn checkpointed_equals_full_simulation_and_the_injector(
         seed in 0u64..1_000_000,
         count in 40usize..80,
     ) {
-        let s = shared();
-        let faults = s
-            .per_fault
+        let sessions = sessions();
+        let faults = sessions[0]
             .fault_list(Structure::RegisterFile, count, seed)
             .unwrap();
-        let oracle = s.per_fault.campaign(&faults).unwrap();
-        let scratch = s.per_fault.campaign_from_scratch(&faults).unwrap();
-        prop_assert_eq!(&oracle.outcomes, &scratch.outcomes);
-        for session in &s.batched {
-            let batched = session.campaign(&faults).unwrap();
+        let (expected, _) = oracle(&sessions[0], &faults);
+        for session in sessions {
+            let result = session.campaign(&faults).unwrap();
             prop_assert_eq!(
-                &batched.outcomes,
-                &scratch.outcomes,
-                "batching changed an outcome at x{} threads",
+                &result.outcomes,
+                &expected,
+                "checkpointed engine changed an outcome at x{} threads",
                 session.threads()
             );
         }

@@ -132,6 +132,23 @@ fn checkpointed_campaigns_match_from_scratch_byte_for_byte() {
             checkpointed.schedule.suffix_cycles < scratch.schedule.suffix_cycles,
             "{name}/{structure}: restoring did not cut simulated cycles"
         );
+        // A sparse store, where most of the engine's cycles go to golden
+        // replay, must classify every fault the same way too.
+        let sparse = Session::builder(&workload_by_name(name).unwrap().program, &cfg)
+            .checkpoints(CheckpointPolicy {
+                target_checkpoints: 6,
+                ..CheckpointPolicy::default()
+            })
+            .max_cycles(100_000_000)
+            .threads(4)
+            .build()
+            .unwrap();
+        let sparse_result = sparse.campaign(&faults).unwrap();
+        assert_eq!(
+            sparse_result.outcomes, scratch.outcomes,
+            "{name}/{structure}: sparse-store engine diverged from the from-scratch path"
+        );
+        assert!(sparse_result.schedule.golden_replay_cycles > 0);
     }
 }
 
